@@ -27,14 +27,6 @@ grid — evidence that measured crossovers dispatch within tolerance of
 the best fixed choice on *this* host
 (``check_regression.check_auto_calibration`` gates it).
 
-The ``trie_batch`` series (schema 6) counts the full Table-1 level-3
-candidate grid on ``position-hop`` twice: flat (one position-list chain
-per episode, O(E*L) hops) and batched over the shared-prefix
-:class:`~repro.mining.trie.CandidateTrie` (one hop per trie *edge*,
-reusing the parent frontier for all children).  Counts must be
-bit-identical (checksummed; ``check_regression.check_trie_batch`` gates
-the equality hard) and the speedup column is gated >= 1.0x at level 3.
-
 The ``streaming_throughput`` series (schema 5) replays one seeded
 drifting event feed (:func:`repro.data.synthetic.stream_chunks`)
 through the streaming subsystem twice per policy: ``incremental`` (the
@@ -80,7 +72,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 SCHEMA = 8  # 8: telemetry_overhead series gates the repro.obs recorder
-# cost (7: streaming position-hop chunk resume; 6: trie_batch series)
+# cost (7: streaming position-hop chunk resume; 6: a trie_batch series,
+# retired with the flat position-hop path it compared against)
 DEFAULT_OUT = Path(__file__).parent / "BENCH_engines.json"
 
 #: engines timed on the policy-sensitive paths; "gpu-sim" rows use the
@@ -120,7 +113,6 @@ def run_bench(
     engines: "tuple[str, ...]" = ENGINES,
     seed: int = SEED,
     streaming: "dict | None" = None,
-    trie_batch: "dict | None" = None,
     telemetry: "dict | None" = None,
 ) -> dict:
     """Measure every policy x engine x size cell; returns the JSON payload."""
@@ -239,7 +231,6 @@ def run_bench(
     scaling = run_sharded_scaling() if "sharded" in engines else []
     auto_cal = run_auto_calibration() if "auto" in engines or "sharded" in engines else {}
     stream_tp = run_streaming_throughput(**(streaming or {}))
-    trie_rows = run_trie_batch(**(trie_batch or {}))
     telemetry_rows = run_telemetry_overhead(**(telemetry or {}))
     return {
         "schema": SCHEMA,
@@ -257,7 +248,6 @@ def run_bench(
         "sharded_scaling": scaling,
         "auto_calibration": auto_cal,
         "streaming_throughput": stream_tp,
-        "trie_batch": trie_rows,
         "telemetry_overhead": telemetry_rows,
     }
 
@@ -388,94 +378,6 @@ def run_auto_calibration(repeats: int = 2) -> dict:
         },
         "rows": rows,
     }
-
-
-#: trie_batch series parameters: the paper's full level-3 grid (N=26 ->
-#: 15,600 candidates, Table 1) where prefix sharing collapses 46,800
-#: flat hops to 16,276 trie edges; smoke runs shrink the alphabet
-TRIE_BATCH_N = 30_000
-TRIE_BATCH_ALPHABET = 26
-TRIE_BATCH_LEVEL = 3
-#: RESET is excluded: both paths take the same n-gram bincount kernel,
-#: so there is no trie-vs-flat contrast to measure
-TRIE_BATCH_POLICIES = (("subsequence", None), ("expiring", 6))
-
-
-def run_trie_batch(
-    n: int = TRIE_BATCH_N,
-    alphabet_size: int = TRIE_BATCH_ALPHABET,
-    level: int = TRIE_BATCH_LEVEL,
-    seed: int = SEED,
-) -> "list[dict]":
-    """Shared-prefix trie counting vs flat per-episode chains.
-
-    Builds the full Table-1 level-``level`` candidate space as a
-    :class:`~repro.mining.trie.CandidateTrie`, then times
-    ``position-hop`` counting it flat (``count`` over the episode
-    matrix) and batched (``count_batch`` over the trie).  Counts must
-    be bit-identical; ``check_regression.check_trie_batch`` gates the
-    checksum equality hard and requires speedup >= 1.0 at level >= 3.
-    """
-    from repro.mining.alphabet import Alphabet
-    from repro.mining.candidates import generate_level
-    from repro.mining.counting import DatabaseIndex
-    from repro.mining.engines import get_engine
-    from repro.mining.policies import MatchPolicy
-    from repro.mining.trie import CandidateTrie
-
-    alphabet = Alphabet.of_size(alphabet_size)
-    rng = np.random.default_rng(seed)
-    db = rng.integers(0, alphabet.size, n).astype(np.uint8)
-    trie = CandidateTrie.from_episodes(generate_level(alphabet, level))
-    matrix = trie.matrix
-    engine = get_engine("position-hop")
-    index = DatabaseIndex(db)
-    rows = []
-    for policy_value, window in TRIE_BATCH_POLICIES:
-        policy = MatchPolicy(policy_value)
-        with engine:
-            flat = engine.count(
-                db, matrix, alphabet.size, policy, window, index=index
-            )
-            flat_s = _time_call(
-                lambda: engine.count(
-                    db, matrix, alphabet.size, policy, window, index=index
-                )
-            )
-            batched = engine.count_batch(
-                db, trie, alphabet.size, policy, window, index=index
-            )
-            trie_s = _time_call(
-                lambda: engine.count_batch(
-                    db, trie, alphabet.size, policy, window, index=index
-                )
-            )
-        row = {
-            "policy": policy_value,
-            "engine": "position-hop",
-            "n": n,
-            "episodes": len(trie),
-            "level": level,
-            "alphabet": alphabet_size,
-            "window": window,
-            "trie_nodes": trie.n_nodes,
-            "trie_edges": trie.n_edges,
-            "flat_seconds": round(flat_s, 6),
-            "trie_seconds": round(trie_s, 6),
-            "speedup_trie_vs_flat": round(flat_s / trie_s, 2) if trie_s else None,
-            "flat_checksum": int(flat.sum()),
-            "trie_checksum": int(batched.sum()),
-            "counts_identical": bool(np.array_equal(flat, batched)),
-        }
-        rows.append(row)
-        print(
-            f"trie_batch   {policy_value:12s} n={n:>7,} "
-            f"E={len(trie)} L={level} flat {flat_s * 1e3:9.2f} ms, "
-            f"trie {trie_s * 1e3:9.2f} ms "
-            f"({row['speedup_trie_vs_flat']:.2f}x, "
-            f"identical={row['counts_identical']})"
-        )
-    return rows
 
 
 #: streaming_throughput series parameters: a small drifting alphabet so
@@ -796,11 +698,6 @@ def main(argv: "list[str] | None" = None) -> int:
         streaming=(
             dict(n_chunks=6, chunk_events=2000, repeats=2)
             if args.quick else None
-        ),
-        # quick mode shrinks the trie grid the same way (N=12 -> 1,320
-        # level-3 candidates); checksum equality is still gated on it
-        trie_batch=(
-            dict(n=10_000, alphabet_size=12) if args.quick else None
         ),
         # quick mode shrinks the telemetry workload; the overhead
         # ceilings are relative, so they gate at any size

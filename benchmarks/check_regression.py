@@ -44,13 +44,6 @@ incremental carry that loses to naive recounting is a pessimization),
 and each mode's events/sec is additionally compared against the
 committed trajectory when the reference carries the series.
 
-The ``trie_batch`` series (schema 6) gates the shared-prefix trie
-refactor: flat and trie-batched position-hop counts of the same
-candidate grid must be bit-identical (checksummed — machine-independent,
-checked on the fresh payload alone), and at level >= 3 the trie-batched
-path must be at least as fast as the flat path (within-machine, so
-pre-series snapshots need nothing).
-
 The ``telemetry_overhead`` series (schema 8) gates the run-telemetry
 layer's cost: the same counting loop timed with no recorder, the
 default ``NULL_RECORDER``, and a live ``Recorder`` must produce
@@ -383,51 +376,6 @@ def check_streaming(
     return problems
 
 
-#: the trie refactor's floor: shared-prefix counting must never lose to
-#: flat per-episode chains once the trie actually shares prefixes
-#: (level >= 3 — at lower levels the trie is nearly flat and the gate
-#: would only measure noise)
-TRIE_BATCH_MIN_SPEEDUP = 1.0
-TRIE_BATCH_MIN_LEVEL = 3
-
-
-def check_trie_batch(fresh: dict) -> "list[str]":
-    """Gate shared-prefix trie counting (schema 6's ``trie_batch`` series).
-
-    Exactness first: the flat and trie-batched paths counted the same
-    candidate grid on the same database, so any checksum divergence is
-    a trie counting bug — failed hard, on any machine.  The speedup
-    floor is within-machine (both paths timed moments apart in the same
-    process), so it too needs no reference cells; payloads without the
-    series (pre-series snapshots, engine subsets) pass untouched.
-    """
-    rows = fresh.get("trie_batch") or ()
-    if not rows:
-        return []
-    problems = []
-    for row in rows:
-        if (not row.get("counts_identical", True)
-                or row.get("flat_checksum") != row.get("trie_checksum")):
-            problems.append(
-                f"trie_batch {row['policy']} @ n={row['n']:,} "
-                f"L={row['level']}: trie checksum {row.get('trie_checksum')} "
-                f"!= flat checksum {row.get('flat_checksum')} "
-                "(trie counting bug, not a perf issue)"
-            )
-            continue
-        speedup = row.get("speedup_trie_vs_flat")
-        if speedup is None or row.get("level", 0) < TRIE_BATCH_MIN_LEVEL:
-            continue
-        if speedup < TRIE_BATCH_MIN_SPEEDUP:
-            problems.append(
-                f"trie_batch {row['policy']} @ n={row['n']:,} "
-                f"L={row['level']} (E={row['episodes']}): trie-batched "
-                f"counting {speedup:.2f}x vs flat (floor "
-                f"{TRIE_BATCH_MIN_SPEEDUP:.1f}x — prefix sharing regressed)"
-            )
-    return problems
-
-
 #: ceilings on the repro.obs recorder's cost around the counting loop:
 #: the default NullRecorder must be free in any practical sense, and a
 #: live --trace Recorder must stay cheap
@@ -539,7 +487,6 @@ def main(argv: "list[str] | None" = None) -> int:
     problems += check_sharded_scaling(fresh)
     problems += check_auto_calibration(fresh)
     problems += check_streaming(reference, fresh, tolerance=args.tolerance)
-    problems += check_trie_batch(fresh)
     problems += check_telemetry(fresh)
     if not problems:
         print("engine throughput: no regression vs committed trajectory")

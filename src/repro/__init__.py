@@ -92,7 +92,6 @@ from repro.data import (
     paper_database,
     random_database,
 )
-from repro.mapreduce import GpuCountingEngine
 from repro.gpu.multi import MultiGpu, dual_gx2
 from repro.mining.pipeline import PipelinedMiner
 from repro.streaming import (
@@ -140,6 +139,7 @@ __all__ = [
     "generate_level",
     "generate_next_level",
     "DatabaseIndex",
+    "GpuSimEngine",
     "ShardedEngine",
     "get_engine",
     "list_engines",
@@ -161,9 +161,6 @@ __all__ = [
     "PAPER_DB_LENGTH",
     "generate_spike_stream",
     "generate_market_stream",
-    # mapreduce
-    "GpuCountingEngine",
-    "GpuSimEngine",
     # extensions
     "MultiGpu",
     "dual_gx2",

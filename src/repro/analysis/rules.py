@@ -255,12 +255,12 @@ class NonAtomicArtifactWriteRule(Rule):
 _ENGINE_SOURCES = ("get_engine", "REGISTRY.get")
 #: method names that propagate engine-ness through reassignment
 _ENGINE_PRESERVING = frozenset({"with_profile"})
-#: engine methods that require an open run scope.  ``count`` and the
-#: trie-batched ``count_batch`` (PR 8) are both run-scoped — the
-#: ``startswith("count")`` fallback below catches future ``count_*``
-#: variants, but these two are contract-named so the set is greppable
-#: from CONTRACTS.md.
-_RUN_SCOPED_METHODS = frozenset({"count", "count_batch"})
+#: engine methods that require an open run scope.  ``count`` is the
+#: one counting entry point (tries, matrices and episode lists alike);
+#: it is contract-named so the set is greppable from CONTRACTS.md, and
+#: the ``startswith("count")`` fallback below catches any future
+#: ``count_*`` variant.
+_RUN_SCOPED_METHODS = frozenset({"count"})
 
 
 class _Rep003Visitor(_RuleVisitor):

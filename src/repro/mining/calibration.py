@@ -295,8 +295,7 @@ class CalibrationProfile:
             return None
         if created.tzinfo is None:
             created = created.replace(tzinfo=timezone.utc)
-        # repro: noqa REP006 staleness compares provenance stamps, never counting state
-        now = now if now is not None else datetime.now(timezone.utc)
+        now = now if now is not None else clock.utc_now()
         return (now - created).total_seconds() / 86_400.0
 
     def to_payload(self) -> dict:

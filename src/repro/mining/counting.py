@@ -15,12 +15,14 @@ registry that names and selects them):
   per-episode setup would dominate.
 * ``position-hop`` — vectorized position-list counting: per-symbol
   occurrence arrays are extracted once per database (cached on a
-  :class:`DatabaseIndex`), each episode's match structure is derived by
-  ``np.searchsorted`` hops between its symbols' position lists, and the
-  greedy non-overlapped count is resolved in O(log m) vectorized
-  pointer-jumping rounds instead of a per-occurrence loop.  Interpreter
-  work is O(E·(L + log m)) — *independent of n* — which is what kills
-  the per-character sweeps on realistic databases.
+  :class:`DatabaseIndex`), match structure is derived by
+  ``np.searchsorted`` hops between symbols' position lists — one hop
+  per edge of the batch's shared-prefix trie
+  (:func:`repro.mining.trie.count_positions_trie`) — and the greedy
+  non-overlapped counts are resolved by vectorized pointer chasing
+  instead of a per-occurrence loop.  Interpreter work is independent
+  of n, which is what kills the per-character sweeps on realistic
+  databases.
 * ``RESET`` has its own closed form: a single O(n) pass counts *every*
   length-L episode at once via base-N n-gram encoding and ``bincount``
   (:func:`ngram_counts`; RESET counting equals substring counting, see
@@ -172,19 +174,14 @@ def as_episode_matrix(episodes: "list[Episode] | np.ndarray") -> np.ndarray:
     """Normalize an episode batch (Episode list, (E, L) array, or
     :class:`~repro.mining.trie.CandidateTrie`) to a matrix.
 
-    Trie batches are recognized structurally (their cached ``matrix``
-    property) rather than by type, so this module never imports
-    :mod:`repro.mining.trie` (which imports this one).
+    Anything implementing the NumPy array protocol — arrays, and tries
+    through ``CandidateTrie.__array__`` — converts with ``np.asarray``;
+    other iterables are Episode sequences.
     """
-    if isinstance(episodes, np.ndarray):
-        matrix = episodes
+    if hasattr(episodes, "__array__"):
+        matrix = np.asarray(episodes)
     else:
-        trie_matrix = getattr(episodes, "matrix", None)
-        matrix = (
-            trie_matrix
-            if isinstance(trie_matrix, np.ndarray)
-            else episodes_to_matrix(list(episodes))
-        )
+        matrix = episodes_to_matrix(list(episodes))
     if matrix.ndim != 2:
         raise ValidationError(f"episode matrix must be 2-D, got {matrix.shape}")
     return matrix
@@ -207,23 +204,20 @@ def count_batch(
     fastest exact implementation for the policy and problem shape).
     ``index`` optionally carries a prebuilt :class:`DatabaseIndex` so
     repeated batches against one database share position lists.
+    ``episodes`` reaches the engine's ``count`` as given, so
     :class:`~repro.mining.trie.CandidateTrie` batches keep their shared
-    structure (the engine's ``count_batch`` path); flat inputs are
-    normalized to a matrix.
+    structure.
     """
     from repro.mining.engines import get_engine  # lazy: avoids import cycle
 
-    batch: object = episodes
-    if isinstance(episodes, np.ndarray) or not hasattr(episodes, "matrix"):
-        batch = as_episode_matrix(episodes)
     db = _check_db(db)
     validate_window(policy, window)
     resolved = get_engine(engine or "auto")
     with resolved:
         # one call = one run scope (REP003); a no-op for the stateless
         # tiers, pool acquire/release for engines that hold resources
-        return resolved.count_batch(
-            db, batch, alphabet_size, policy, window, index=index
+        return resolved.count(
+            db, episodes, alphabet_size, policy, window, index=index
         )
 
 
@@ -231,6 +225,9 @@ def count_reset_batch(
     db: np.ndarray, matrix: np.ndarray, alphabet_size: int
 ) -> np.ndarray:
     """RESET counts for a batch via the O(n) n-gram table."""
+    if matrix.shape[0] == 0:
+        # an empty level's (0, 0) matrix has no gram length to tabulate
+        return np.zeros(0, dtype=np.int64)
     grams = ngram_counts(db, matrix.shape[1], alphabet_size)
     return grams[encode_episodes(matrix, alphabet_size)]
 
@@ -265,7 +262,8 @@ def count_episode(
     if policy is MatchPolicy.SUBSEQUENCE:
         return _count_subsequence_hopping(db, episode, index=index)
     index = index if index is not None else DatabaseIndex(db)
-    return _count_positions_single(index, episode.items, int(window))  # type: ignore[arg-type]
+    ends, starts = _chain_positions(index, episode.items, int(window))  # type: ignore[arg-type]
+    return _greedy_nonoverlap_count(ends, starts)
 
 
 def _count_single_reset(db: np.ndarray, items: np.ndarray) -> int:
@@ -408,7 +406,7 @@ def _hop_positions(
     One searchsorted hop: for every occurrence of ``item``, find the
     latest prefix completion strictly before it (gap bounded by
     ``window`` when set) and extend that chain.  This is the single-edge
-    step both the flat chain (:func:`_chain_positions`) and the
+    step both the single-episode chain (:func:`_chain_positions`) and the
     trie-shared walk (:func:`repro.mining.trie.count_positions_trie`)
     are built from — the frontier depends only on the prefix consumed
     so far, never on any suffix, which is what makes sharing a parent
@@ -492,35 +490,6 @@ def _greedy_nonoverlap_count(ends: np.ndarray, starts: np.ndarray) -> int:
     """
     count, _ = _walk_jump_chain(ends, starts, 0)
     return count
-
-
-def _count_positions_single(
-    index: DatabaseIndex, items: "tuple[int, ...]", window: int | None
-) -> int:
-    if len(items) == 1:
-        # every occurrence of the symbol is a (trivially non-overlapped)
-        # completion under both policies
-        return int(index.positions(items[0]).size)
-    ends, starts = _chain_positions(index, items, window)
-    return _greedy_nonoverlap_count(ends, starts)
-
-
-def count_positions_batch(
-    db: np.ndarray,
-    matrix: np.ndarray,
-    window: int | None = None,
-    index: DatabaseIndex | None = None,
-) -> np.ndarray:
-    """Position-list counts for a batch: SUBSEQUENCE (``window=None``)
-    or EXPIRING (``window`` set).  Interpreter work per episode is
-    O(L + log m) vectorized operations, independent of database length.
-    """
-    index = index if index is not None else DatabaseIndex(db)
-    out = np.zeros(matrix.shape[0], dtype=np.int64)
-    for i in range(matrix.shape[0]):
-        items = tuple(int(x) for x in matrix[i])
-        out[i] = _count_positions_single(index, items, window)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +616,8 @@ def _count_subsequence_hopping(
     ``np.flatnonzero(db == item)`` per call.
     """
     index = index if index is not None else DatabaseIndex(db)
-    return _count_positions_single(index, episode.items, None)
+    ends, starts = _chain_positions(index, episode.items, None)
+    return _greedy_nonoverlap_count(ends, starts)
 
 
 # ---------------------------------------------------------------------------

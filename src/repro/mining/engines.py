@@ -49,45 +49,45 @@ the engine scope around the level loop.  Counting
 *outside* a scope stays correct and keeps the historical
 pool-per-call behaviour.
 
-Every engine implements ``count(db, episodes, alphabet_size, policy,
-window, index=None)`` and returns the exact occurrence counts — the
-engines differ only in speed, an invariant ``tests/test_engines.py``
-and the cross-engine conformance matrix of ``tests/test_conformance.py``
-assert against the scalar oracle.  ``bind(...)``
-adapts an engine to the miner's ``(db, episodes) -> counts`` callable
-protocol while reusing one :class:`DatabaseIndex` per database
-(staleness-checked by fingerprint, so in-place mutation of a database
-array rebuilds instead of silently serving stale counts).
+Every engine implements one counting method, ``count(db, episodes,
+alphabet_size, policy, window, index=None)``, which takes a
+:class:`~repro.mining.trie.CandidateTrie` (the shared-prefix batch
+:func:`~repro.mining.candidates.generate_next_level` emits), an
+``(E, L)`` matrix, or an ``Episode`` list, and returns the exact
+occurrence counts — the engines differ only in speed, an invariant
+``tests/test_engines.py`` and the cross-engine conformance matrix of
+``tests/test_conformance.py`` assert against the scalar oracle.
+``bind(...)`` fixes ``(alphabet, policy, window)`` for the miner's
+``(db, episodes) -> counts`` call while reusing one
+:class:`DatabaseIndex` per database (staleness-checked by fingerprint,
+so in-place mutation of a database array rebuilds instead of silently
+serving stale counts).
 
 Trie-batched counting
 ---------------------
-``count_batch(db, batch, alphabet_size, policy, window, index=None)``
-counts a :class:`~repro.mining.trie.CandidateTrie` — the shared-prefix
-batch representation :func:`~repro.mining.candidates.generate_next_level`
-emits — with the same exactness contract as ``count``; flat inputs
-(matrices, episode lists) are accepted and flattened.  The contract
-(details in ``CONTRACTS.md``):
+The contract of ``count`` (details in ``CONTRACTS.md``):
 
 * **index stability** — output slot ``i`` is the ``i``-th episode
-  inserted into the trie, so result/bench schemas are unchanged;
-* **scalar-oracle ground truth** — every engine's ``count_batch``
-  equals per-episode :func:`~repro.mining.counting.count_matrix_reference`
-  counts (the conformance suite asserts this over all policies,
-  repeated-symbol matrices, and degenerate tries);
+  inserted into the trie (or the ``i``-th matrix row / list entry), so
+  result/bench schemas are unchanged;
+* **scalar-oracle ground truth** — every engine's ``count`` equals
+  per-episode :func:`~repro.mining.counting.count_matrix_reference`
+  counts for every input form (the conformance suite asserts this over
+  all policies, repeated-symbol matrices, and degenerate tries);
 * **where sharing happens** — ``position-hop`` hops each trie edge
   once, reusing the parent node's position-list frontier for all
   children (exact because the frontier depends only on the consumed
-  prefix — see :func:`repro.mining.trie.count_positions_trie`);
-  ``sharded`` ships whole root subtrees per shard (prefix sharing
-  survives inside every shard; explicit index arrays scatter results
-  back exactly) under the same supervision/degradation semantics as
-  ``count``; ``vector-sweep`` flattens — its per-character sweep
-  already advances all episodes through one vectorized state table,
-  and the greedy non-overlap reset makes cross-episode FSM state
-  diverge after any completion, so there is no exact per-prefix state
-  to share; RESET always flattens to the single O(n) n-gram pass,
-  which is batch-optimal already;
-* **count caching** — :class:`BoundEngine` routes trie batches through
+  prefix — see :func:`repro.mining.trie.count_positions_trie`); a flat
+  input is built into a trie first.  ``sharded`` ships whole root
+  subtrees per shard (prefix sharing survives inside every shard;
+  explicit index arrays scatter results back exactly).
+  ``vector-sweep`` flattens — its per-character sweep already advances
+  all episodes through one vectorized state table, and the greedy
+  non-overlap reset makes cross-episode FSM state diverge after any
+  completion, so there is no exact per-prefix state to share; RESET
+  always flattens to the single O(n) n-gram pass, which is
+  batch-optimal already;
+* **count caching** — :class:`BoundEngine` routes every batch through
   a content-addressed :class:`~repro.mining.trie.CountCache` keyed by
   ``(db_fingerprint, episode, policy, window)``, so repeated counts
   (across levels, pipeline speculation, streaming backfill) dedupe to
@@ -175,7 +175,6 @@ from repro.mining.counting import (
     DatabaseIndex,
     as_episode_matrix,
     count_matrix_reference,
-    count_positions_batch,
     count_reset_batch,
     db_fingerprint,
     _count_expiring_batch,
@@ -186,6 +185,7 @@ from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import (
     CandidateTrie,
     CountCache,
+    as_candidate_trie,
     cached_count_batch,
     count_positions_trie,
     resume_positions_trie,
@@ -244,41 +244,21 @@ class CountingEngine:
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: int | None = None,
-        index: DatabaseIndex | None = None,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def count_batch(
-        self,
-        db: np.ndarray,
         episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
         index: DatabaseIndex | None = None,
     ) -> np.ndarray:
-        """Counts for a (possibly trie-structured) episode batch.
+        """Exact counts for a batch of same-length episodes.
 
-        The base implementation flattens the batch and delegates to
-        ``count`` — exact for every engine, so tiers without a shared
-        counting structure (scalar-oracle as the per-episode ground
-        truth, vector-sweep whose per-character state table already
-        advances all episodes at once, gpu-sim's single kernel launch)
-        inherit it as-is.  Tiers that can exploit the trie
-        (``position-hop``, ``sharded``) override.  Same run-scope
-        contract as ``count`` (REP003).
+        The one counting entry point: ``episodes`` is a
+        :class:`~repro.mining.trie.CandidateTrie`, an ``(E, L)``
+        matrix, or an ``Episode`` list, and slot ``i`` of the result is
+        episode ``i`` of the batch.  Run-scoped (REP003): callers hold
+        the engine's ``with`` scope.
         """
-        matrix = as_episode_matrix(episodes)
-        if matrix.shape[0] == 0:
-            # empty levels short-circuit: the flat paths reject
-            # zero-width (0, 0) matrices an empty trie produces
-            return np.zeros(0, dtype=np.int64)
-        return self.count(db, matrix, alphabet_size, policy, window,
-                          index=index)
+        raise NotImplementedError
 
     def resume_batch(
         self,
@@ -303,16 +283,12 @@ class CountingEngine:
         work independent of segment length, sibling episodes sharing
         prefix hop chains), so there is nothing for a tier to
         specialize; the method lives on the engine so streaming
-        dispatch stays an engine concern like ``count_batch``.  Not
+        dispatch stays an engine concern like ``count``.  Not
         run-scoped: the resume path holds no pooled resources.
         """
-        trie = (
-            episodes
-            if isinstance(episodes, CandidateTrie)
-            else CandidateTrie.from_matrix(as_episode_matrix(episodes))
-        )
         return resume_positions_trie(
-            db, trie, policy, window, state, t0=t0, index=index
+            db, as_candidate_trie(episodes), policy, window, state, t0=t0,
+            index=index,
         )
 
     def bind(
@@ -355,7 +331,7 @@ class CountingEngine:
 class BoundEngine:
     """A counting engine bound to (alphabet, policy, window).
 
-    Satisfies :class:`repro.mining.miner.CountingEngine` and caches a
+    The miner's ``(db, episodes) -> counts`` call.  Caches a
     :class:`DatabaseIndex` per database, so every level of a mining run
     shares one position extraction.  The cache is keyed by a content
     fingerprint rather than object identity: mutating the database
@@ -364,7 +340,7 @@ class BoundEngine:
     cheap next to any counting pass).  Entering a bound engine opens
     the underlying engine's run scope.
 
-    Trie batches additionally route through a per-binding
+    Every batch additionally routes through a per-binding
     content-addressed :class:`~repro.mining.trie.CountCache` (keyed by
     ``(db_fingerprint, episode, policy, window)``): episodes re-counted
     against an identical database — repeated level counts, pipeline
@@ -387,7 +363,7 @@ class BoundEngine:
         self.alphabet_size = alphabet_size
         self.policy = policy
         self.window = window
-        #: content-addressed count cache for trie/batched counting
+        #: content-addressed count cache for every counted batch
         self.cache = cache if cache is not None else CountCache()
         self._fingerprint: str | None = None
         self._db: np.ndarray | None = None
@@ -437,21 +413,7 @@ class BoundEngine:
     def __call__(
         self, db: np.ndarray, episodes: "CandidateTrie | list[Episode] | np.ndarray"
     ) -> np.ndarray:
-        if isinstance(episodes, CandidateTrie):
-            return self.count_batch(db, episodes)
-        return self.engine.count(
-            db,
-            episodes,
-            self.alphabet_size,
-            self.policy,
-            self.window,
-            index=self.index_for(db),
-        )
-
-    def count_batch(
-        self, db: np.ndarray, episodes: "CandidateTrie | list[Episode] | np.ndarray"
-    ) -> np.ndarray:
-        """Batched counting through the content-addressed count cache."""
+        """Counts through the content-addressed count cache."""
         return cached_count_batch(
             self.engine,
             db,
@@ -490,7 +452,7 @@ class ScalarOracleEngine(CountingEngine):
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
@@ -508,7 +470,7 @@ class VectorSweepEngine(CountingEngine):
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
@@ -524,54 +486,34 @@ class VectorSweepEngine(CountingEngine):
 
 
 class PositionHopEngine(CountingEngine):
-    """Vectorized position-list counting (see :mod:`repro.mining.counting`)."""
+    """Trie-shared position-list counting (see :mod:`repro.mining.counting`).
+
+    SUBSEQUENCE/EXPIRING batches hop each trie *edge* once, reusing the
+    parent node's completion frontier for all children
+    (:func:`repro.mining.trie.count_positions_trie`) — O(trie edges)
+    hops instead of O(E·L) per-episode chains; flat inputs are built
+    into a trie first.  RESET keeps the single O(n) n-gram pass
+    (already batch-optimal).
+    """
 
     name = "position-hop"
 
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
         validate_window(policy, window)
         if policy is MatchPolicy.RESET:
-            return count_reset_batch(db, matrix, alphabet_size)
+            return count_reset_batch(db, as_episode_matrix(episodes),
+                                     alphabet_size)
         hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)
-        return count_positions_batch(db, matrix, hop_window, index=index)
-
-    def count_batch(
-        self,
-        db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: int | None = None,
-        index: DatabaseIndex | None = None,
-    ) -> np.ndarray:
-        """Trie-shared position-list counting.
-
-        SUBSEQUENCE/EXPIRING trie batches hop each trie *edge* once,
-        reusing the parent node's completion frontier for all children
-        (:func:`repro.mining.trie.count_positions_trie`) — O(trie
-        edges) hops instead of the flat path's O(E·L).  RESET keeps
-        the single O(n) n-gram pass (already batch-optimal), and flat
-        inputs fall through to ``count``.
-        """
-        if not isinstance(episodes, CandidateTrie):
-            return super().count_batch(db, episodes, alphabet_size, policy,
-                                       window, index=index)
-        validate_window(policy, window)
-        if len(episodes) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if policy is MatchPolicy.RESET:
-            return count_reset_batch(db, episodes.matrix, alphabet_size)
-        hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)
-        return count_positions_trie(db, episodes, hop_window, index=index)
+        return count_positions_trie(db, as_candidate_trie(episodes),
+                                    hop_window, index=index)
 
 
 class AutoEngine(CountingEngine):
@@ -626,7 +568,7 @@ class AutoEngine(CountingEngine):
     def select(
         self, n: int, n_episodes: int, policy: MatchPolicy
     ) -> CountingEngine:
-        """The concrete engine ``count`` will delegate to."""
+        """The concrete engine ``count`` delegates to."""
         if policy is MatchPolicy.RESET:
             return get_engine("position-hop")  # n-gram path either way
         thresholds = self._thresholds(policy)
@@ -644,35 +586,17 @@ class AutoEngine(CountingEngine):
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
-        chosen = self.select(int(np.asarray(db).size), matrix.shape[0], policy)
-        return chosen.count(db, matrix, alphabet_size, policy, window, index=index)
-
-    def count_batch(
-        self,
-        db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: int | None = None,
-        index: DatabaseIndex | None = None,
-    ) -> np.ndarray:
-        """Dispatch the batch to the selected tier's ``count_batch``
-        (so a trie reaching position-hop keeps its shared structure)."""
-        n_eps = (
-            len(episodes)
-            if isinstance(episodes, CandidateTrie)
-            else as_episode_matrix(episodes).shape[0]
-        )
-        chosen = self.select(int(np.asarray(db).size), n_eps, policy)
-        return chosen.count_batch(db, episodes, alphabet_size, policy,
-                                  window, index=index)
+        """Delegate the batch, as given, to the selected tier (so a
+        trie reaching position-hop keeps its shared structure)."""
+        chosen = self.select(int(np.asarray(db).size), len(episodes), policy)
+        return chosen.count(db, episodes, alphabet_size, policy, window,
+                            index=index)
 
 
 class GpuSimEngine(CountingEngine):
@@ -749,7 +673,7 @@ class GpuSimEngine(CountingEngine):
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
@@ -763,8 +687,8 @@ class GpuSimEngine(CountingEngine):
         # validate episode codes on the *raw* input: Episode.array /
         # uint8 matrix coercion happens downstream, and an out-of-range
         # code must raise here, never overflow or wrap modulo 256 first
-        if isinstance(episodes, np.ndarray):
-            top = int(episodes.max(initial=0)) if episodes.size else 0
+        if isinstance(episodes, (np.ndarray, CandidateTrie)):
+            top = int(np.asarray(episodes).max(initial=0))
         else:
             top = max((max(e.items) for e in episodes), default=0)
         if top >= alphabet_size:
@@ -810,8 +734,8 @@ class GpuSimEngine(CountingEngine):
 #: per-process DatabaseIndex cache keyed by database content fingerprint.
 #: Lives in each pooled *worker*: with a run-scoped pool the workers
 #: persist across counting calls (and mining levels), so episode-axis
-#: chunks against one database pay the position extraction once per
-#: worker instead of once per chunk per call.  Content keying makes a
+#: shards against one database pay the position extraction once per
+#: worker instead of once per shard per call.  Content keying makes a
 #: mutated-in-place database a miss, never a stale hit.
 _WORKER_INDEX_CACHE: "dict[str, DatabaseIndex]" = {}
 _WORKER_INDEX_CACHE_MAX = 4
@@ -891,31 +815,17 @@ def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
             profile = _calibration.CalibrationProfile(thresholds={})
         engine = engine.with_profile(profile)
         index = _cached_worker_index(payload["db"], payload.get("db_key"))
-        if payload.get("trie"):
-            # trie-subtree shard: rebuild the shared-prefix structure
-            # from the shipped rows (tries themselves are not shipped —
-            # the matrix is the wire format) so the inner engine's
-            # count_batch keeps the per-shard prefix sharing
-            batch = CandidateTrie.from_matrix(payload["matrix"])
-            # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
-            out = engine.count_batch(
-                payload["db"],
-                batch,
-                payload["alphabet_size"],
-                policy,
-                payload["window"],
-                index=index,
-            )
-        else:
-            # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
-            out = engine.count(
-                payload["db"],
-                payload["matrix"],
-                payload["alphabet_size"],
-                policy,
-                payload["window"],
-                index=index,
-            )
+        # the matrix is the wire format (tries are not shipped); the
+        # inner engine rebuilds a subtree shard's shared-prefix trie
+        # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
+        out = engine.count(
+            payload["db"],
+            payload["matrix"],
+            payload["alphabet_size"],
+            policy,
+            payload["window"],
+            index=index,
+        )
     return [KeyValue(record.key, out)]
 
 
@@ -1289,12 +1199,23 @@ class ShardedEngine(CountingEngine):
     def count(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        episodes: "CandidateTrie | list[Episode] | np.ndarray",
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
+        """Sharded counts, inline on the inner engine when too small.
+
+        The episode axis shards by trie *subtree*: each shard receives
+        whole root-child subtrees
+        (:meth:`~repro.mining.trie.CandidateTrie.subtree_index_groups`),
+        so prefix sharing survives inside every shard, and results
+        scatter back through the explicit per-shard episode-index
+        arrays — exact regardless of how insertion order interleaved
+        the subtrees.  RESET and narrow batches decompose the database
+        instead, where the trie offers nothing.
+        """
         matrix = as_episode_matrix(episodes)
         validate_window(policy, window)
         db = np.asarray(db)
@@ -1307,8 +1228,8 @@ class ShardedEngine(CountingEngine):
         workers = self._effective_workers(n * n_eps)
         if (workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self._local_inner.count(db, episodes, alphabet_size,
+                                           policy, window, index=index)
         if policy is MatchPolicy.RESET:
             job = self._database_axis_job(db, matrix, alphabet_size, policy,
                                           workers)
@@ -1317,73 +1238,23 @@ class ShardedEngine(CountingEngine):
             return self._count_database_axis_carry(
                 db, matrix, alphabet_size, policy, window, workers, index=index
             )
-        job = self._episode_axis_job(db, matrix, alphabet_size, policy, window,
-                                     workers, index=index)
-        results = self._run(job)
-        return np.concatenate(
-            [results[key] for key in sorted(results, key=lambda k: k[1])]
-        )
-
-    def count_batch(
-        self,
-        db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: int | None = None,
-        index: DatabaseIndex | None = None,
-    ) -> np.ndarray:
-        """Episode-axis sharding by trie *subtree* instead of row range.
-
-        Each shard receives whole root-child subtrees
-        (:meth:`~repro.mining.trie.CandidateTrie.subtree_index_groups`),
-        so prefix sharing survives inside every shard — workers rebuild
-        the sub-trie from the shipped rows and run the inner engine's
-        ``count_batch``.  Results scatter back through the explicit
-        per-shard episode-index arrays, which is exact regardless of
-        how insertion order interleaved the subtrees.  Supervision,
-        degradation, and inline fallbacks are identical to ``count``:
-        the same ``_run`` path executes the job, RESET and narrow
-        batches fall back to the database-axis/flat decompositions, and
-        a degraded scope counts inline on the calibrated inner engine.
-        """
-        if not isinstance(episodes, CandidateTrie):
-            return super().count_batch(db, episodes, alphabet_size, policy,
-                                       window, index=index)
-        trie = episodes
-        validate_window(policy, window)
-        db = np.asarray(db)
-        n, n_eps = int(db.size), len(trie)
-        if n_eps == 0:
-            return np.zeros(0, dtype=np.int64)
-        workers = self._effective_workers(n * n_eps)
-        if (workers <= 1 or n == 0 or self._pool_failed
-                or n * n_eps < self.min_shard_work):
-            return self._local_inner.count_batch(
-                db, trie, alphabet_size, policy, window, index=index
-            )
-        if (policy is MatchPolicy.RESET
-                or self._pick_axis(n_eps, workers) == "database"):
-            # the n-gram pass / state-summarization carry decompose the
-            # *database*, where the trie offers nothing — flat path
-            return self.count(db, trie.matrix, alphabet_size, policy,
-                              window, index=index)
+        trie = as_candidate_trie(episodes)
         groups = trie.subtree_index_groups(workers)
         if len(groups) <= 1:
-            return self._local_inner.count_batch(
-                db, trie, alphabet_size, policy, window, index=index
-            )
-        matrix = trie.matrix
+            return self._local_inner.count(db, trie, alphabet_size, policy,
+                                           window, index=index)
+        # workers cache their index under this key; a caller-supplied
+        # index for this very database already carries the hash
         if index is not None and index.db is db:
             db_key = index.fingerprint
         else:
             db_key = db_fingerprint(db)
-        inputs: "list[KeyValue]" = []
-        for i, rows in enumerate(groups):
-            payload = self._payload(db, matrix[rows], alphabet_size, policy,
-                                    window, db_key=db_key)
-            payload["trie"] = True
-            inputs.append(KeyValue(("chunk", i), payload))
+        inputs = [
+            KeyValue(("chunk", i),
+                     self._payload(db, matrix[rows], alphabet_size, policy,
+                                   window, db_key=db_key))
+            for i, rows in enumerate(groups)
+        ]
         job = MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
                            reducer=_sum_reducer)
         results = self._run(job)
@@ -1453,34 +1324,6 @@ class ShardedEngine(CountingEngine):
                                     policy, None)
             payload.update(kind="boundary", start_lo=0, start_hi=start_hi)
             inputs.append(KeyValue("total", payload))
-        return MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                            reducer=_sum_reducer)
-
-    def _episode_axis_job(
-        self,
-        db: np.ndarray,
-        matrix: np.ndarray,
-        alphabet_size: int,
-        policy: MatchPolicy,
-        window: "int | None",
-        workers: int,
-        index: "DatabaseIndex | None" = None,
-    ) -> MapReduceJob:
-        chunk = -(-matrix.shape[0] // workers)
-        # workers cache their index under this key; a caller-supplied
-        # index for this very database already carries the hash
-        if index is not None and index.db is db:
-            db_key = index.fingerprint
-        else:
-            db_key = db_fingerprint(db)
-        inputs = [
-            KeyValue(
-                ("chunk", i),
-                self._payload(db, matrix[lo : lo + chunk], alphabet_size,
-                              policy, window, db_key=db_key),
-            )
-            for i, lo in enumerate(range(0, matrix.shape[0], chunk))
-        ]
         return MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
                             reducer=_sum_reducer)
 

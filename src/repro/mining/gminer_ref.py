@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.mining.alphabet import Alphabet
 from repro.mining.counting import count_batch_reference
+from repro.mining.engines import CountingEngine
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner, MiningResult
 from repro.mining.policies import MatchPolicy
@@ -37,6 +38,35 @@ class SerialTiming:
         return total / self.seconds if self.seconds > 0 else float("inf")
 
 
+class _SerialEngine(CountingEngine):
+    """One scalar FSM pass per Episode, timing each counting call."""
+
+    name = "serial"
+
+    def __init__(self) -> None:
+        self.last_timing: SerialTiming | None = None
+
+    def count(
+        self,
+        db: np.ndarray,
+        episodes: "list[Episode]",
+        alphabet_size: int,
+        policy: MatchPolicy = MatchPolicy.RESET,
+        window: "int | None" = None,
+        index: object = None,
+    ) -> np.ndarray:
+        start = clock.now()
+        counts = count_batch_reference(
+            db, list(episodes), alphabet_size, policy, window
+        )
+        self.last_timing = SerialTiming(
+            episodes=len(episodes),
+            db_length=int(np.asarray(db).size),
+            seconds=clock.now() - start,
+        )
+        return counts
+
+
 class SerialMiner:
     """Single-threaded scalar miner."""
 
@@ -51,31 +81,27 @@ class SerialMiner:
         self.alphabet = alphabet
         self.policy = policy
         self.window = window
-        self.last_timing: SerialTiming | None = None
+        self._engine = _SerialEngine()
         self._miner = FrequentEpisodeMiner(
             alphabet,
             threshold,
             policy=policy,
             window=window,
-            engine=self._count,
+            engine=self._engine,
             max_level=max_level,
         )
 
-    def _count(self, db: np.ndarray, episodes: list[Episode]) -> np.ndarray:
-        start = clock.now()
-        counts = count_batch_reference(
-            db, episodes, self.alphabet.size, self.policy, self.window
-        )
-        self.last_timing = SerialTiming(
-            episodes=len(episodes),
-            db_length=int(np.asarray(db).size),
-            seconds=clock.now() - start,
-        )
-        return counts
+    @property
+    def last_timing(self) -> SerialTiming | None:
+        """Timing of the most recent counting pass."""
+        return self._engine.last_timing
 
     def mine(self, db: np.ndarray) -> MiningResult:
         return self._miner.mine(db)
 
     def count(self, db: np.ndarray, episodes: list[Episode]) -> np.ndarray:
         """Expose the raw counting pass for baseline benchmarks."""
-        return self._count(np.asarray(db), episodes)
+        return self._engine.count(
+            np.asarray(db), episodes, self.alphabet.size, self.policy,
+            self.window,
+        )

@@ -8,16 +8,14 @@ whole point being that the counting step dominates and parallelizes.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MiningError, ValidationError
 from repro.mining.alphabet import Alphabet
 from repro.mining.candidates import generate_level, generate_next_level
-from repro.mining.engines import CountingEngine as RegistryEngine, get_engine
+from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import CandidateTrie
@@ -28,14 +26,6 @@ from repro.obs.recorder import (
     resolve_recorder,
 )
 from repro.obs.report import RunReport
-
-
-class CountingEngine(Protocol):
-    """Anything that can count a batch of same-length episodes."""
-
-    def __call__(
-        self, db: np.ndarray, episodes: list[Episode]
-    ) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -149,19 +139,18 @@ class FrequentEpisodeMiner:
         Matching semantics (see :mod:`repro.mining.policies`).
     engine:
         Counting engine: a registry name (``"auto"``, ``"position-hop"``,
-        ``"vector-sweep"``, ``"sharded"``, ...), a registry
-        :class:`~repro.mining.engines.CountingEngine` instance, or any
-        ``(db, episodes) -> counts`` callable.  Defaults to ``"auto"``.
-        Registry engines share one
-        :class:`~repro.mining.counting.DatabaseIndex` across all levels
-        of a run.
+        ``"vector-sweep"``, ``"sharded"``, ...) or a
+        :class:`~repro.mining.engines.CountingEngine` instance; anything
+        else raises :class:`~repro.errors.ValidationError`.  Defaults to
+        ``"auto"``.  The engine is bound for the run, so every level
+        shares one :class:`~repro.mining.counting.DatabaseIndex` and one
+        count cache.
     calibration:
         An explicit :class:`~repro.mining.calibration.CalibrationProfile`
         applied to the engine via ``with_profile`` (the ``auto`` and
         ``sharded`` tiers tune their dispatch from it; exact counts are
         unaffected).  ``None`` leaves ambient profile resolution in
-        effect; requires a registry engine (names or instances), not a
-        plain callable.
+        effect.
     max_level:
         Safety cap on the level loop (the paper's evaluation stops at
         L=3; mining real data can run deeper).
@@ -187,7 +176,7 @@ class FrequentEpisodeMiner:
         threshold: float,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
-        engine: "CountingEngine | RegistryEngine | str | None" = None,
+        engine: "CountingEngine | str | None" = None,
         max_level: int = 8,
         exhaustive_candidates: bool = False,
         calibration: "object | None" = None,
@@ -209,32 +198,15 @@ class FrequentEpisodeMiner:
         self.calibration = calibration
         self.recorder = recorder
         self._last_report: "RunReport | None" = None
-        if engine is None or isinstance(engine, (str, RegistryEngine)):
-            resolved = get_engine(engine or "auto")
-            if calibration is not None:
-                resolved = resolved.with_profile(calibration)
-            self._engine = resolved.bind(alphabet.size, policy, window)
-        else:
-            if calibration is not None:
-                raise ValidationError(
-                    "calibration profiles apply to registry engines; "
-                    "got a plain callable engine"
-                )
-            self._engine = engine
-
-    def _engine_scope(self):
-        """The engine's run context, if it offers one.
-
-        Registry engines (and :class:`~repro.mining.engines.BoundEngine`)
-        are context managers — entering lets run-scoped engines acquire
-        their worker pool once for the whole level loop.  Legacy plain
-        callables are not, and get a null scope.
-        """
-        engine = self._engine
-        cls = type(engine)
-        if getattr(cls, "__enter__", None) and getattr(cls, "__exit__", None):
-            return engine
-        return nullcontext()
+        if engine is not None and not isinstance(engine, (str, CountingEngine)):
+            raise ValidationError(
+                "engine must be a registry engine name or CountingEngine "
+                f"instance, got {type(engine).__name__}"
+            )
+        resolved = get_engine(engine or "auto")
+        if calibration is not None:
+            resolved = resolved.with_profile(calibration)
+        self._engine = resolved.bind(alphabet.size, policy, window)
 
     @property
     def degradation_events(self) -> tuple:
@@ -243,11 +215,11 @@ class FrequentEpisodeMiner:
         :class:`~repro.resilience.supervisor.DegradationEvent` records
         surfaced by a supervised engine (the ``sharded`` tier) — pool
         respawns, reclaimed shards, degradations to the single-process
-        chain.  Empty for unsupervised engines and plain callables, and
-        reset when a new run opens its engine scope.  Results are exact
-        either way; this is how callers *see* that recovery happened.
+        chain.  Empty for unsupervised engines, and reset when a new run
+        opens its engine scope.  Results are exact either way; this is
+        how callers *see* that recovery happened.
         """
-        return tuple(getattr(self._engine, "events", ()))
+        return self._engine.events
 
     @property
     def last_report(self) -> "RunReport | None":
@@ -281,37 +253,24 @@ class FrequentEpisodeMiner:
             raise ValidationError("cannot mine an empty database")
         rec = resolve_recorder(self.recorder)
         engine = self._engine
-        instrumented = hasattr(engine, "set_recorder")
-        cache = getattr(engine, "cache", None)
+        cache = engine.cache
         levels: list[LevelResult] = []
         # every level counts through the trie batch representation:
         # generate_next_level emits tries directly, and the exhaustive /
-        # level-1 lists are wrapped so registry engines take the shared
-        # count_batch path (index-stable, so results are unchanged)
+        # level-1 lists are wrapped so engines keep the shared prefix
+        # structure (index-stable, so results are unchanged)
         candidates = CandidateTrie.from_episodes(generate_level(self.alphabet, 1))
         level = 1
-        if instrumented:
-            engine.set_recorder(rec)
+        engine.set_recorder(rec)
         try:
             with rec.span("mine", events=int(n), threshold=self.threshold):
-                with self._engine_scope():
+                with engine:
                     while candidates and level <= self.max_level:
                         with rec.span(
                             "level", level=level, candidates=len(candidates)
                         ) as sp:
-                            before = (
-                                cache.stats()
-                                if rec.enabled and cache is not None
-                                else None
-                            )
-                            counts = np.asarray(
-                                self._engine(db, candidates), dtype=np.int64
-                            )
-                            if counts.shape != (len(candidates),):
-                                raise MiningError(
-                                    f"engine returned shape {counts.shape} for "
-                                    f"{len(candidates)} candidates"
-                                )
+                            before = cache.stats() if rec.enabled else None
+                            counts = engine(db, candidates)
                             result, frequent = eliminate_level(
                                 level, candidates, counts, n, self.threshold
                             )
@@ -345,20 +304,16 @@ class FrequentEpisodeMiner:
                                     contiguous=self.policy.is_contiguous,
                                 )
         finally:
-            if instrumented:
-                engine.set_recorder(NULL_RECORDER)
+            engine.set_recorder(NULL_RECORDER)
         if rec.enabled:
             self._last_report = RunReport.from_recorder(
                 rec,
                 command="mine",
                 degradation_events=self.degradation_events,
-                cache=cache.stats() if cache is not None else None,
+                cache=cache.stats(),
                 calibration=self._calibration_provenance(),
                 meta={
-                    "engine": getattr(
-                        getattr(engine, "engine", engine), "name",
-                        type(engine).__name__,
-                    ),
+                    "engine": engine.engine.name,
                     "policy": self.policy.value,
                     "threshold": self.threshold,
                     "n_events": int(n),
@@ -382,18 +337,10 @@ class FrequentEpisodeMiner:
         incrementally across chunks by a
         :class:`~repro.streaming.StreamingMiner` configured like this
         miner (same alphabet/threshold/policy/engine/calibration);
-        windowed mode mines the trailing ``horizon`` events.  Requires
-        a registry engine (plain callables cannot be dispatched
-        per-chunk).
+        windowed mode mines the trailing ``horizon`` events.
         """
-        from repro.mining.engines import BoundEngine
         from repro.streaming import StreamingMiner
 
-        if not isinstance(self._engine, BoundEngine):
-            raise ValidationError(
-                "mine_stream requires a registry counting engine; this "
-                "miner was built with a plain callable"
-            )
         streaming = StreamingMiner(
             self.alphabet,
             self.threshold,

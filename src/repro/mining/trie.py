@@ -15,7 +15,7 @@ Contract (relied on across engines/miner/streaming — see
 ``CONTRACTS.md``):
 
 * **Index stability** — episode index ``i`` in every engine's
-  ``count_batch`` output refers to the ``i``-th episode *inserted*
+  ``count`` output refers to the ``i``-th episode *inserted*
   into the trie.  ``from_episodes``/``from_matrix`` preserve input
   order; :func:`repro.mining.candidates.generate_next_level` inserts
   in deterministic lexicographic order, so existing result/bench
@@ -36,7 +36,7 @@ cached values can never go stale.  :func:`cached_count_batch` is the
 shared entry point (``BoundEngine``, the pipelined continuation, and
 the streaming backfill all route through it): cache hits are served
 without touching the engine, misses are batched into *one* engine
-``count_batch`` call (rebuilt as a trie to keep prefix sharing), and a
+``count`` call (rebuilt as a trie to keep prefix sharing), and a
 fully-hit repeat of a ``(db, episode set)`` count makes zero engine
 calls.
 """
@@ -47,9 +47,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import MiningError, ValidationError
 from repro.mining.counting import (
     DatabaseIndex,
+    as_episode_matrix,
     db_fingerprint,
     _expiring_exit_row,
     _hop_positions,
@@ -64,6 +65,7 @@ if TYPE_CHECKING:  # runtime import would cycle through engines
 __all__ = [
     "CandidateTrie",
     "CountCache",
+    "as_candidate_trie",
     "cached_count_batch",
     "count_positions_trie",
     "expiring_summary_trie",
@@ -75,9 +77,10 @@ class CandidateTrie(Sequence):
     """A batch of same-length episodes stored as a shared-prefix trie.
 
     Behaves as a ``Sequence[Episode]`` (``len``/iteration/indexing/
-    ``in``/``==`` against episode lists), so every consumer of the old
-    flat ``list[Episode]`` batches keeps working, while engines that
-    understand the trie (``count_batch``) exploit the shared structure.
+    ``in``/``==`` against episode lists) and as its ``(E, L)`` matrix
+    under ``np.asarray``, so code written against the old flat batches
+    keeps working, while engines that understand the trie
+    (``position-hop``, ``sharded``) exploit the shared structure.
 
     Built either from :class:`Episode` objects (:meth:`from_episodes`,
     or incrementally via :meth:`insert` — the A-priori extension step
@@ -201,7 +204,7 @@ class CandidateTrie(Sequence):
     @property
     def n_edges(self) -> int:
         """Edge count — the number of position-list hops a trie-batched
-        count performs (vs ``len(trie) * level`` for the flat path)."""
+        count performs (vs ``len(trie) * level`` for per-episode chains)."""
         return len(self._children) - 1
 
     @property
@@ -213,6 +216,12 @@ class CandidateTrie(Sequence):
             else:
                 self._matrix = np.zeros((0, self._level), dtype=np.uint8)
         return self._matrix
+
+    def __array__(
+        self, dtype: "np.dtype | None" = None, copy: "bool | None" = None
+    ) -> np.ndarray:
+        """``np.asarray(trie)`` is :attr:`matrix` (NumPy array protocol)."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     def children_of(self, node: int) -> "list[tuple[int, int]]":
         """``(symbol, child id)`` pairs in ascending symbol order."""
@@ -316,6 +325,16 @@ class CandidateTrie(Sequence):
         )
 
 
+def as_candidate_trie(
+    batch: "CandidateTrie | Sequence[Episode] | np.ndarray",
+) -> CandidateTrie:
+    """``batch`` as a :class:`CandidateTrie`: tries pass through, flat
+    matrices and episode lists are built into one (index-stable)."""
+    if isinstance(batch, CandidateTrie):
+        return batch
+    return CandidateTrie.from_matrix(as_episode_matrix(batch))
+
+
 def count_positions_trie(
     db: np.ndarray,
     trie: CandidateTrie,
@@ -325,11 +344,10 @@ def count_positions_trie(
     """Position-list counts for a trie batch: SUBSEQUENCE
     (``window=None``) or EXPIRING (``window`` set).
 
-    The trie-shared analogue of
-    :func:`repro.mining.counting.count_positions_batch`: a depth-first
-    walk carries each node's completion frontier ``(ends, starts)`` and
-    hops it across every child edge exactly once, so episodes sharing a
-    prefix share the prefix's entire chain computation.  The leaf level
+    A depth-first walk carries each node's completion frontier
+    ``(ends, starts)`` and hops it across every child edge exactly
+    once, so episodes sharing a prefix share the prefix's entire chain
+    computation.  The leaf level
     — the bulk of the trie (e.g. 15,600 of the level-3 grid's 16,276
     edges) — is additionally processed *sibling-batched* per parent
     node and resolved in one global chase (:class:`_LeafBatch`): the
@@ -337,9 +355,8 @@ def count_positions_trie(
     indicator prefix sums instead of per-episode binary searches, and
     every leaf's greedy chain is walked simultaneously, one vectorized
     gather per chain step.  The chains are the same latest-start jump
-    chains the flat path's
-    :func:`repro.mining.counting._greedy_nonoverlap_count` resolves,
-    so counts are bit-identical.
+    chains :func:`repro.mining.counting._greedy_nonoverlap_count`
+    resolves for one episode, so counts are bit-identical.
     """
     out = np.zeros(len(trie), dtype=np.int64)
     if len(trie) == 0:
@@ -538,7 +555,7 @@ class _LeafBatch:
     O(total completions x log) of per-leaf binary lifting.  Each chain
     is exactly the one
     :func:`repro.mining.counting._greedy_nonoverlap_count` walks, so
-    counts are bit-identical to the flat path.
+    counts are bit-identical to per-episode counting.
     """
 
     __slots__ = ("n", "base", "jumps", "lo", "hi", "terminals")
@@ -710,18 +727,15 @@ def cached_count_batch(
     """Count ``batch`` through ``cache``, dispatching only the misses.
 
     Hits are served straight from the cache; misses are gathered into
-    one ``engine.count_batch`` call — rebuilt as a :class:`CandidateTrie`
+    one ``engine.count`` call — rebuilt as a :class:`CandidateTrie`
     so prefix sharing survives partial hits — then stored.  A repeated
     ``(db, episode set, policy, window)`` count therefore makes *zero*
     engine calls.  Exact by construction: the key captures every input
-    the count depends on.  Caller owns the engine's run scope.
+    the count depends on.  An engine result of the wrong shape raises
+    :class:`~repro.errors.MiningError`.  Caller owns the engine's run
+    scope.
     """
-    if isinstance(batch, CandidateTrie):
-        matrix = batch.matrix
-    elif isinstance(batch, np.ndarray):
-        matrix = batch
-    else:
-        matrix = episodes_to_matrix(list(batch))
+    matrix = as_episode_matrix(batch)
     n_eps = int(matrix.shape[0])
     if n_eps == 0:
         return np.zeros(0, dtype=np.int64)
@@ -747,9 +761,14 @@ def cached_count_batch(
             sub: "CandidateTrie | np.ndarray" = batch
         else:
             sub = CandidateTrie.from_matrix(matrix[missing])
-        counts = engine.count_batch(
-            db, sub, alphabet_size, policy, window, index=index
+        counts = np.asarray(
+            engine.count(db, sub, alphabet_size, policy, window, index=index)
         )
+        if counts.shape != (len(missing),):
+            raise MiningError(
+                f"engine {engine.name!r} returned shape {counts.shape} for "
+                f"{len(missing)} candidates"
+            )
         for j, i in enumerate(missing):
             value = int(counts[j])
             out[i] = value

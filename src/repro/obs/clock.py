@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from datetime import datetime, timezone
 
-__all__ = ["now", "utc_stamp"]
+__all__ = ["now", "utc_now", "utc_stamp"]
 
 
 def now() -> float:
@@ -28,6 +28,12 @@ def now() -> float:
     return time.perf_counter()
 
 
+def utc_now() -> datetime:
+    """Timezone-aware UTC wallclock time, for provenance and artifact
+    age; tests freeze it by monkeypatching this function."""
+    return datetime.now(timezone.utc)
+
+
 def utc_stamp() -> str:
     """ISO-8601 UTC wallclock stamp for artifact provenance fields."""
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return utc_now().isoformat(timespec="seconds")

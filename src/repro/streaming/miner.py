@@ -53,10 +53,7 @@ from repro.errors import CheckpointError, ConfigError, ValidationError
 from repro.mining.alphabet import Alphabet
 from repro.mining.candidates import generate_level, generate_next_level
 from repro.mining.counting import _NEG
-from repro.mining.engines import (
-    CountingEngine as RegistryEngine,
-    get_engine,
-)
+from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.episode import Episode, episodes_to_matrix
 from repro.mining.miner import (
     LevelResult,
@@ -170,9 +167,8 @@ class StreamingMiner:
     """Level-wise frequent-episode mining over a live chunk feed.
 
     Parameters mirror :class:`~repro.mining.miner.FrequentEpisodeMiner`
-    where they overlap; ``engine`` must be a registry name or
-    :class:`~repro.mining.engines.CountingEngine` instance (plain
-    callables cannot be dispatched per-chunk).
+    where they overlap, ``engine`` included (a registry name or
+    :class:`~repro.mining.engines.CountingEngine` instance).
 
     ``mode`` selects the window semantics (documented in
     :mod:`repro.streaming`): ``"landmark"`` counts over the entire
@@ -198,7 +194,7 @@ class StreamingMiner:
         threshold: float,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
-        engine: "str | RegistryEngine | None" = None,
+        engine: "str | CountingEngine | None" = None,
         calibration: "object | None" = None,
         mode: str = "landmark",
         horizon: "int | None" = None,
@@ -232,7 +228,7 @@ class StreamingMiner:
             raise ConfigError(
                 f"retention must be >= 1 events, got {retention}"
             )
-        if engine is not None and not isinstance(engine, (str, RegistryEngine)):
+        if engine is not None and not isinstance(engine, (str, CountingEngine)):
             raise ValidationError(
                 "streaming mining needs a registry engine (name or "
                 "CountingEngine instance), not a plain callable"
@@ -472,7 +468,7 @@ class StreamingMiner:
     def resume(
         cls,
         path: "str | Path",
-        engine: "str | RegistryEngine | None" = None,
+        engine: "str | CountingEngine | None" = None,
         calibration: "object | None" = None,
     ) -> "StreamingMiner":
         """Rebuild a miner from a :meth:`checkpoint` file.

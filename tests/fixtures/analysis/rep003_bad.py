@@ -11,6 +11,6 @@ def count_chained(db, episodes, alphabet_size):
     return REGISTRY.get("vector-sweep").count(db, episodes, alphabet_size)
 
 
-def count_batch_unscoped(db, trie, alphabet_size, policy):
-    engine = get_engine("position-hop")
-    return engine.count_batch(db, trie, alphabet_size, policy)  # unscoped
+def count_trie_unscoped(db, trie, alphabet_size, policy):
+    engine = get_engine("position-hop").with_profile(None)
+    return engine.count(db, trie, alphabet_size, policy)  # unscoped

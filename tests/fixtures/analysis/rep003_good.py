@@ -13,7 +13,7 @@ def count_aliased(db, episodes, alphabet_size):
         return eng.count(db, episodes, alphabet_size)
 
 
-def count_batch_scoped(db, trie, alphabet_size, policy):
-    engine = get_engine("position-hop")
+def count_trie_scoped(db, trie, alphabet_size, policy):
+    engine = get_engine("position-hop").with_profile(None)
     with engine:
-        return engine.count_batch(db, trie, alphabet_size, policy)
+        return engine.count(db, trie, alphabet_size, policy)

@@ -43,10 +43,6 @@ def test_engine_throughput_no_regression():
         # floor off the noise floor (a GC pause or scheduler stall in
         # one 5 ms RESET run must not read as a pessimization)
         streaming=dict(n_chunks=6, chunk_events=2000, repeats=2),
-        # a scaled-down trie grid (N=12 -> 1,320 level-3 candidates):
-        # the flat-vs-trie checksum equality is machine-independent and
-        # gated hard below; the speedup floor stays advisory in tier-1
-        trie_batch=dict(n=8_000, alphabet_size=12),
         # a scaled-down telemetry workload: the overhead ceilings are
         # relative and within-process, so they gate hard at any size
         # (the absolute-jitter slack in check_telemetry absorbs noise)
@@ -59,7 +55,6 @@ def test_engine_throughput_no_regression():
     problems += check_regression.check_sharded_scaling(fresh)
     problems += check_regression.check_auto_calibration(fresh)
     problems += check_regression.check_streaming(reference, fresh)
-    problems += check_regression.check_trie_batch(fresh)
     problems += check_regression.check_telemetry(fresh)
     # the simulated series is deterministic, so its checksum/timing gate
     # is exact even inside tier-1 (timing drift counts as correctness:

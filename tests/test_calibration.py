@@ -567,8 +567,15 @@ class TestProfileStaleness:
             assert load_profile(path) is not None
 
     def test_age_limit_configurable(self, tmp_path, monkeypatch):
+        from datetime import datetime, timezone
+
+        from repro.obs import clock
+
+        monkeypatch.setattr(
+            clock, "utc_now", lambda: datetime(2026, 7, 27, tzinfo=timezone.utc)
+        )
         path = save_profile(
-            self._dated_profile("2026-07-20T00:00:00+00:00"),  # ~1 week old
+            self._dated_profile("2026-07-20T00:00:00+00:00"),  # 1 week old
             tmp_path / "calibration.json",
         )
         with warnings.catch_warnings():

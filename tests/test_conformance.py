@@ -138,7 +138,7 @@ class TestDegenerateShapes:
 
 
 class TestTrieBatchConformance:
-    """Every engine's ``count_batch`` over tries vs the scalar oracle.
+    """Every engine's ``count`` over tries vs the scalar oracle.
 
     The trie refactor (PR 8) must be pure representation: batching a
     :class:`CandidateTrie` through any registry engine returns exactly
@@ -160,34 +160,39 @@ class TestTrieBatchConformance:
             eps = generate_level(ALPHA, level)
             trie = CandidateTrie.from_episodes(eps)
             with engine:
-                got = engine.count_batch(db, trie, ALPHA.size, policy, window)
+                got = engine.count(db, trie, ALPHA.size, policy, window)
             ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
             assert np.array_equal(got, ref), (name, policy, level)
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
-    @pytest.mark.parametrize(
-        "policy,window",
-        [(MatchPolicy.RESET, None), (MatchPolicy.SUBSEQUENCE, None),
-         (MatchPolicy.EXPIRING, 3)],
-    )
-    def test_repeated_symbol_tries(self, name, policy, window, db):
-        """Tries built from raw matrices, duplicate rows included."""
-        matrix = np.array(
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_every_input_form_matches_oracle(self, name, policy, window, db):
+        """``count`` takes a trie, its matrix, or an Episode list, and
+        every form equals the scalar oracle — including a matrix-built
+        trie with repeated symbols, which has no Episode-list form."""
+        eps = generate_level(ALPHA, 2)
+        trie = CandidateTrie.from_episodes(eps)
+        repeated = CandidateTrie.from_matrix(np.array(
             [[0, 0, 1], [2, 2, 2], [1, 0, 1], [4, 4, 0], [0, 0, 1]],
             dtype=np.uint8,
-        )
-        trie = CandidateTrie.from_matrix(matrix)
+        ))
+        ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
+        ref_repeated = count_matrix_reference(db, repeated.matrix, policy,
+                                              window)
+        forms = [("trie", trie, ref), ("matrix", trie.matrix, ref),
+                 ("list", eps, ref), ("repeated trie", repeated, ref_repeated),
+                 ("repeated matrix", repeated.matrix, ref_repeated)]
         with fresh_engine(name) as engine:
-            got = engine.count_batch(db, trie, ALPHA.size, policy, window)
-        ref = count_matrix_reference(db, matrix, policy, window)
-        assert np.array_equal(got, ref), (name, policy)
+            for form, batch, expected in forms:
+                got = engine.count(db, batch, ALPHA.size, policy, window)
+                assert np.array_equal(got, expected), (name, policy, form)
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     @pytest.mark.parametrize("policy,window", POLICIES)
     def test_single_node_trie(self, name, policy, window, db):
         trie = CandidateTrie.from_episodes([Episode((3,))])
         with fresh_engine(name) as engine:
-            got = engine.count_batch(db, trie, ALPHA.size, policy, window)
+            got = engine.count(db, trie, ALPHA.size, policy, window)
         ref = count_batch_reference(db, [Episode((3,))], ALPHA.size,
                                     policy, window)
         assert np.array_equal(got, ref), (name, policy)
@@ -197,7 +202,7 @@ class TestTrieBatchConformance:
     def test_empty_level_trie(self, name, policy, window, db):
         """An empty level's trie counts to shape (0,), never crashes."""
         with fresh_engine(name) as engine:
-            got = engine.count_batch(
+            got = engine.count(
                 db, CandidateTrie(), ALPHA.size, policy, window
             )
         assert got.shape == (0,), (name, policy)
@@ -212,7 +217,7 @@ class TestTrieBatchConformance:
         trie = CandidateTrie.from_episodes(eps)
         engine = ShardedEngine(workers=3, min_shard_work=0)
         with engine:
-            got = engine.count_batch(db, trie, ALPHA.size, policy, window)
+            got = engine.count(db, trie, ALPHA.size, policy, window)
         ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
         assert np.array_equal(got, ref), policy
 

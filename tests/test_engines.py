@@ -665,16 +665,12 @@ class TestMinerIntegration:
         default = FrequentEpisodeMiner(alpha, 0.05, max_level=2).mine(db)
         assert mined.all_frequent == default.all_frequent
 
-    def test_legacy_callable_engine_still_works(self, workload):
-        alpha, db = workload
-        calls = []
-
-        def engine(database, episodes):
-            calls.append(len(episodes))
-            return count_batch(database, episodes, alpha.size)
-
-        FrequentEpisodeMiner(alpha, 0.05, max_level=2, engine=engine).mine(db)
-        assert calls  # the callable protocol was exercised
+    def test_plain_callable_engine_rejected(self, workload):
+        alpha, _ = workload
+        with pytest.raises(ValidationError, match="CountingEngine"):
+            FrequentEpisodeMiner(
+                alpha, 0.05, engine=lambda db, eps: np.zeros(len(eps))
+            )
 
 
 class TestGpuSimEngine:

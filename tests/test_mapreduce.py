@@ -1,12 +1,9 @@
 """Tests for the MapReduce framework and engines."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ValidationError
-from repro.gpu.specs import GEFORCE_GTX_280
+from repro.errors import ConfigError
 from repro.mapreduce import (
-    GpuCountingEngine,
     KeyValue,
     MapReduceJob,
     ProcessPoolEngine,
@@ -16,10 +13,6 @@ from repro.mapreduce import (
     run_job,
     sum_combiner,
 )
-from repro.mining.alphabet import UPPERCASE
-from repro.mining.candidates import generate_level
-from repro.mining.counting import count_batch
-from repro.mining.policies import MatchPolicy
 
 
 def word_count_job(texts):
@@ -142,95 +135,3 @@ class TestShuffleHelpers:
         recs = [KeyValue("x", 1.0), KeyValue("y", 2.0), KeyValue("x", 4.0)]
         combined = {kv.key: kv.value for kv in sum_combiner(recs)}
         assert combined == {"x": 5.0, "y": 2.0}
-
-
-class TestGpuCountingEngine:
-    @pytest.fixture()
-    def workload(self):
-        rng = np.random.default_rng(17)
-        db = rng.integers(0, 26, 2000).astype(np.uint8)
-        eps = generate_level(UPPERCASE, 2)[:12]
-        return db, eps
-
-    def test_counts_match_cpu(self, workload):
-        db, eps = workload
-        engine = GpuCountingEngine(
-            device=GEFORCE_GTX_280, alphabet_size=26, algorithm=3,
-            threads_per_block=64,
-        )
-        out = engine(db, eps)
-        assert np.array_equal(out, count_batch(db, eps, 26))
-
-    def test_auto_mode_selects_and_counts(self, workload):
-        db, eps = workload
-        engine = GpuCountingEngine(
-            device=GEFORCE_GTX_280, alphabet_size=26, algorithm="auto"
-        )
-        out = engine(db, eps)
-        assert np.array_equal(out, count_batch(db, eps, 26))
-
-    def test_reports_accumulate(self, workload):
-        db, eps = workload
-        engine = GpuCountingEngine(
-            device=GEFORCE_GTX_280, alphabet_size=26, algorithm=1,
-            threads_per_block=64,
-        )
-        engine(db, eps)
-        engine(db, eps)
-        assert len(engine.reports) == 2
-        assert engine.total_kernel_ms > 0
-
-    def test_policy_passthrough(self, workload):
-        db, eps = workload
-        engine = GpuCountingEngine(
-            device=GEFORCE_GTX_280,
-            alphabet_size=26,
-            algorithm=2,
-            threads_per_block=64,
-            policy=MatchPolicy.SUBSEQUENCE,
-        )
-        out = engine(db, eps)
-        assert np.array_equal(
-            out, count_batch(db, eps, 26, MatchPolicy.SUBSEQUENCE)
-        )
-
-    def test_symbols_beyond_uint8_rejected(self, workload):
-        """Regression: ``np.asarray(db, dtype=np.uint8)`` used to wrap
-        symbols >= 256 modulo 256 and return silently wrong counts."""
-        _, eps = workload
-        engine = GpuCountingEngine(device=GEFORCE_GTX_280, alphabet_size=26)
-        db = np.array([0, 1, 258], dtype=np.int64)  # 258 would wrap to 2
-        with pytest.raises(ValidationError, match="refusing to truncate"):
-            engine(db, eps)
-
-    def test_out_of_alphabet_code_rejected(self, workload):
-        _, eps = workload
-        engine = GpuCountingEngine(device=GEFORCE_GTX_280, alphabet_size=26)
-        with pytest.raises(ValidationError, match="outside the alphabet"):
-            engine(np.array([0, 40], dtype=np.uint8), eps)
-
-    def test_oversized_alphabet_rejected_eagerly(self):
-        with pytest.raises(ValidationError, match="256"):
-            GpuCountingEngine(device=GEFORCE_GTX_280, alphabet_size=300)
-
-    def test_shares_registry_code_path(self, workload):
-        """The adapter must delegate to the gpu-sim registry engine."""
-        from repro.mining.engines import GpuSimEngine
-
-        db, eps = workload
-        engine = GpuCountingEngine(device=GEFORCE_GTX_280, alphabet_size=26)
-        assert isinstance(engine._impl, GpuSimEngine)
-        engine(db, eps)
-        assert engine._impl.reports is engine.reports
-        assert len(engine.reports) == 1
-
-    def test_invalid_algorithm_eager(self):
-        with pytest.raises(ConfigError):
-            GpuCountingEngine(device=GEFORCE_GTX_280, alphabet_size=26, algorithm=8)
-
-    def test_invalid_threads(self):
-        with pytest.raises(ConfigError):
-            GpuCountingEngine(
-                device=GEFORCE_GTX_280, alphabet_size=26, algorithm=1,
-                threads_per_block=0,
-            )

@@ -507,16 +507,6 @@ class TestMineStreamAPI:
         assert miner.mine_stream(db).levels == batch.levels
         assert miner.mine_stream(chunked(db, [100, 101])).levels == batch.levels
 
-    def test_mine_stream_rejects_plain_callables(self):
-        def fake_engine(db, episodes):
-            return np.zeros(len(episodes), dtype=np.int64)
-
-        miner = FrequentEpisodeMiner(
-            Alphabet.of_size(4), 0.1, engine=fake_engine
-        )
-        with pytest.raises(ValidationError):
-            miner.mine_stream(np.zeros(4, dtype=np.uint8))
-
 
 class TestStateStore:
     def make_store(self, policy=MatchPolicy.SUBSEQUENCE, window=None):

@@ -91,14 +91,18 @@ class TestFailureInjection:
         from repro.mining.miner import FrequentEpisodeMiner
         from repro.errors import MiningError
 
+        from repro.mining.engines import CountingEngine
+
+        class BadEngine(CountingEngine):
+            name = "bad"
+
+            def count(self, db, episodes, *args, **kwargs):
+                return np.zeros(len(episodes) + 1)  # wrong shape
+
         alpha = Alphabet.of_size(4)
         db = np.zeros(50, dtype=np.uint8)
-
-        def bad_engine(d, eps):
-            return np.zeros(len(eps) + 1)  # wrong shape
-
         with pytest.raises(MiningError):
-            FrequentEpisodeMiner(alpha, 0.1, engine=bad_engine).mine(db)
+            FrequentEpisodeMiner(alpha, 0.1, engine=BadEngine()).mine(db)
 
 
 class TestSweepRowIntegrity:
