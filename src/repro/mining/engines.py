@@ -107,7 +107,7 @@ failure is explicit rather than a silent whole-call recompute:
   the poisoned pool is dropped without waiting on the hung worker;
 * **repeated failure** (respawn budget exhausted, or the pool cannot
   spawn at all): the run degrades down the explicit chain *sharded ->
-  calibrated single-process inner engine* for the rest of the scope;
+  single-process inner engine* for the rest of the scope;
 * **shard exceptions are never retried**: a mapper raising is a
   programming error, not an infrastructure failure, and propagates as
   itself (the PR-3 contract, now directly testable through fault
@@ -120,28 +120,6 @@ drivers surface degradation instead of discovering it from timing.
 Recovery moves *where* counting happens, never what is counted — the
 resilience property suite (``tests/test_resilience.py``) asserts exact
 result equality under every injected fault.
-
-Measured calibration
---------------------
-The dispatch boundaries above are hardware facts, so they can be
-*measured* instead of hard-coded: :mod:`repro.mining.calibration`
-probes the engines on a deterministic ``(n, E, policy)`` grid and
-persists a versioned ``calibration.json`` profile (file format and
-precedence rules are documented there).  :class:`AutoEngine` consults
-the profile's fitted per-policy thresholds — an explicit
-``AutoEngine(profile=...)`` first, else the ambient profile resolved
-from the ``REPRO_CALIBRATION`` environment variable or the default
-path beside ``benchmarks/BENCH_engines.json`` — falling back to the
-fixed constants when no profile is present, readable, schema-current,
-and host-matched.  :class:`ShardedEngine` uses the profile's measured
-pool-spawn/dispatch costs to pick its default worker count and
-``min_shard_work`` (and, for profile-derived worker counts, caps the
-per-call shard fan-out so every worker gets at least
-``min_shard_work`` of work).  Every engine offers
-``with_profile(profile)`` — a no-op for tiers without tunables — which
-is how :class:`~repro.mining.miner.FrequentEpisodeMiner` and the CLI
-thread an explicit profile through.  Calibration is advisory: it moves
-dispatch choices, never counts.
 """
 
 from __future__ import annotations
@@ -170,7 +148,6 @@ from repro.resilience.supervisor import (
     DegradationEvent,
     ShardSupervisor,
 )
-from repro.mining import calibration as _calibration
 from repro.mining.counting import (
     DatabaseIndex,
     as_episode_matrix,
@@ -299,18 +276,6 @@ class CountingEngine:
     ) -> "BoundEngine":
         """Adapt to the miner's ``(db, episodes) -> counts`` protocol."""
         return BoundEngine(self, alphabet_size, policy, window)
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        """This engine reconfigured for an explicit calibration profile.
-
-        The base tiers have no calibration tunables, so they return
-        themselves; :class:`AutoEngine` and :class:`ShardedEngine`
-        return reconfigured instances.  ``None`` always returns
-        ``self`` (ambient resolution stays in effect).
-        """
-        return self
 
     def __enter__(self) -> "CountingEngine":
         """Open a run scope (no-op for stateless tiers; see module docs)."""
@@ -523,47 +488,14 @@ class AutoEngine(CountingEngine):
     the sweep costs O(n) interpreter steps while position-hopping costs
     O(E·(L + log m)); the sweep only wins when the database is short on
     *both* absolute and per-episode scales.
-
-    The boundary is a hardware fact, so a measured
-    :class:`~repro.mining.calibration.CalibrationProfile` overrides the
-    fixed class constants: an explicit ``profile`` first, else the
-    ambient profile (``REPRO_CALIBRATION`` env var or the default path;
-    see :func:`repro.mining.calibration.active_profile`), else the
-    constants.  Calibration moves the choice, never the counts.
     """
 
     name = "auto"
 
     #: below this database length the per-character sweep is considered
-    #: (fallback when no calibration profile applies)
     SWEEP_MAX_N = 4096
     #: sweep also requires fewer than this many characters per episode
-    #: (fallback when no calibration profile applies)
     SWEEP_CHARS_PER_EPISODE = 8
-
-    def __init__(
-        self, profile: "_calibration.CalibrationProfile | None" = None
-    ) -> None:
-        self.profile = profile
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        if profile is None or profile is self.profile:
-            return self
-        return AutoEngine(profile=profile)
-
-    def _thresholds(
-        self, policy: MatchPolicy
-    ) -> "_calibration.PolicyThresholds | None":
-        """The measured boundary for ``policy``, if a profile offers one."""
-        profile = (
-            self.profile if self.profile is not None
-            else _calibration.active_profile()
-        )
-        if profile is None:
-            return None
-        return profile.thresholds_for(policy)
 
     def select(
         self, n: int, n_episodes: int, policy: MatchPolicy
@@ -571,15 +503,8 @@ class AutoEngine(CountingEngine):
         """The concrete engine ``count`` delegates to."""
         if policy is MatchPolicy.RESET:
             return get_engine("position-hop")  # n-gram path either way
-        thresholds = self._thresholds(policy)
-        if thresholds is not None:
-            prefer_sweep = thresholds.prefers_sweep(n, n_episodes)
-        else:
-            prefer_sweep = (
-                n < self.SWEEP_MAX_N
-                and n < self.SWEEP_CHARS_PER_EPISODE * n_episodes
-            )
-        if prefer_sweep:
+        if (n < self.SWEEP_MAX_N
+                and n < self.SWEEP_CHARS_PER_EPISODE * n_episodes):
             return get_engine("vector-sweep")
         return get_engine("position-hop")
 
@@ -800,20 +725,6 @@ def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
             # losing parent-side register_engine() calls; every engine is
             # exact, so auto is a correct stand-in
             engine = get_engine("auto")
-        # dispatch per the *parent's* calibration decision, not whatever
-        # ambient profile this worker process would resolve on its own:
-        # the payload carries the parent's profile (or None for "fixed
-        # heuristics", which an empty explicit profile pins — see
-        # ShardedEngine._payload)
-        calib = payload.get("calibration")
-        if calib is not None:
-            try:
-                profile = _calibration.CalibrationProfile.from_payload(calib)
-            except (ValidationError, ValueError, KeyError, TypeError):
-                profile = _calibration.CalibrationProfile(thresholds={})
-        else:
-            profile = _calibration.CalibrationProfile(thresholds={})
-        engine = engine.with_profile(profile)
         index = _cached_worker_index(payload["db"], payload.get("db_key"))
         # the matrix is the wire format (tries are not shipped); the
         # inner engine rebuilds a subtree shard's shared-prefix trie
@@ -945,8 +856,7 @@ class ShardedEngine(CountingEngine):
     two-pass state carry: workers return per-segment FSM summaries
     (pass 1), the parent composes entry states sequentially — exact for
     occurrences straddling any number of segments (paper §3.3.3 made
-    parallel).  ``axis`` pins the choice (``"episode"`` /
-    ``"database"``) or leaves it to the heuristic (``"auto"``).
+    parallel).
 
     ``with engine:`` scopes one mining run: the first ``count`` that
     actually shards acquires the process pool (spawned *and probed*, so
@@ -963,7 +873,7 @@ class ShardedEngine(CountingEngine):
     worker) is respawned up to ``max_pool_respawns`` times with seeded
     exponential ``backoff`` and only unfinished shards re-dispatched;
     hung shards are reclaimed and recounted in-process; once the spawn
-    budget for the scope is spent, the run degrades to the calibrated
+    budget for the scope is spent, the run degrades to the
     single-process inner engine, recording a structured
     :class:`~repro.resilience.supervisor.DegradationEvent` on
     ``events`` (cleared when a new run scope opens).  Mapper exceptions
@@ -971,25 +881,14 @@ class ShardedEngine(CountingEngine):
     failure.
 
     Small problems (``db chars x episodes < min_shard_work``) run
-    inline on the inner engine.
-
-    ``workers`` and ``min_shard_work`` left unset are resolved from the
-    calibration profile's measured :class:`~repro.mining.calibration.
-    ShardingCosts` (explicit ``profile`` first, else the ambient one),
-    falling back to the historical fixed defaults (``min(cpu, 8)`` and
-    ``1 << 21``) without a profile.  Profile-derived worker counts are
-    additionally capped *per call* so every worker receives at least
-    ``min_shard_work`` of work — a measured-overhead answer to "how
-    many workers is this problem actually worth".  Explicitly passed
-    values are always honored verbatim.
+    inline on the inner engine.  ``workers`` defaults to
+    ``min(cpu, 8)`` and ``min_shard_work`` to
+    :attr:`DEFAULT_MIN_SHARD_WORK`.
     """
 
     name = "sharded"
 
-    #: valid ``axis`` choices for the SUBSEQUENCE/EXPIRING split
-    AXES = ("auto", "episode", "database")
-
-    #: fixed ``min_shard_work`` fallback when no profile applies
+    #: ``min_shard_work`` when the caller leaves it unset
     DEFAULT_MIN_SHARD_WORK = 1 << 21
 
     def __init__(
@@ -997,8 +896,6 @@ class ShardedEngine(CountingEngine):
         inner: "str | CountingEngine" = "auto",
         workers: int | None = None,
         min_shard_work: int | None = None,
-        axis: str = "auto",
-        profile: "_calibration.CalibrationProfile | None" = None,
         shard_deadline_s: float | None = None,
         backoff: "BackoffPolicy | None" = None,
         max_pool_respawns: int = 1,
@@ -1013,10 +910,6 @@ class ShardedEngine(CountingEngine):
             )
         if max_pool_respawns < 0:
             raise ConfigError("max_pool_respawns must be >= 0")
-        if axis not in self.AXES:
-            raise ConfigError(
-                f"axis must be one of {self.AXES}, got {axis!r}"
-            )
         self.inner = get_engine(inner)
         if isinstance(self.inner, ShardedEngine):
             raise ConfigError("sharded engine cannot wrap itself")
@@ -1041,52 +934,13 @@ class ShardedEngine(CountingEngine):
                 f"inner engine {name!r} is not the registered "
                 "instance; register_engine() it before sharding over it"
             )
-        self.profile = profile
-        # remember what the caller pinned, so with_profile() can clone
-        # without freezing derived defaults into explicit settings
-        self._explicit_workers = workers
-        self._explicit_min_shard_work = min_shard_work
-        effective = (
-            profile if profile is not None else _calibration.active_profile()
+        self.workers = (
+            workers if workers is not None else min(os.cpu_count() or 1, 8)
         )
-        costs = effective.sharding if effective is not None else None
-        if workers is not None:
-            self.workers = workers
-            self._workers_from_profile = False
-        elif costs is not None:
-            self.workers = costs.recommend_workers()
-            self._workers_from_profile = True
-        else:
-            self.workers = min(os.cpu_count() or 1, 8)
-            self._workers_from_profile = False
-        if min_shard_work is not None:
-            self.min_shard_work = min_shard_work
-        elif costs is not None:
-            self.min_shard_work = costs.recommend_min_shard_work()
-        else:
-            self.min_shard_work = self.DEFAULT_MIN_SHARD_WORK
-        # inline counting honors an explicit profile (workers always
-        # resolve the *registered* inner by name, so only speed — never
-        # counts — can differ across the boundary)
-        self._local_inner = (
-            self.inner.with_profile(profile) if profile is not None
-            else self.inner
+        self.min_shard_work = (
+            min_shard_work if min_shard_work is not None
+            else self.DEFAULT_MIN_SHARD_WORK
         )
-        # workers dispatch per the parent's calibration decision: ship
-        # the resolved profile (minus the bulky raw measurements) in
-        # every shard payload; None means "fixed heuristics", which the
-        # mapper pins with an empty profile so worker-ambient state
-        # (their own env var / default file) never leaks into a run
-        self._worker_calibration = (
-            {
-                key: value
-                for key, value in effective.to_payload().items()
-                if key != "measurements"
-            }
-            if effective is not None
-            else None
-        )
-        self.axis = axis
         self.shard_deadline_s = shard_deadline_s
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.max_pool_respawns = max_pool_respawns
@@ -1104,35 +958,6 @@ class ShardedEngine(CountingEngine):
         # respawn budget ("respawned once" at the default of 1)
         self._scope_spawn_budget = 1 + max_pool_respawns
         self._depth = 0
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        if profile is None or profile is self.profile:
-            return self
-        return ShardedEngine(
-            inner=self.inner,
-            workers=self._explicit_workers,
-            min_shard_work=self._explicit_min_shard_work,
-            axis=self.axis,
-            profile=profile,
-            shard_deadline_s=self.shard_deadline_s,
-            backoff=self.backoff,
-            max_pool_respawns=self.max_pool_respawns,
-        )
-
-    def _effective_workers(self, total_work: int) -> int:
-        """Per-call shard fan-out.
-
-        Explicit worker counts are honored verbatim.  Profile-derived
-        counts are capped so each worker gets at least
-        ``min_shard_work`` of work — fewer, busier workers beat many
-        idle ones once the measured dispatch overhead is real.
-        """
-        if not self._workers_from_profile:
-            return self.workers
-        per_worker = max(1, self.min_shard_work)
-        return max(1, min(self.workers, total_work // per_worker))
 
     # -- run-scoped pool lifecycle ------------------------------------
 
@@ -1225,24 +1050,22 @@ class ShardedEngine(CountingEngine):
         # A scope whose pool could not spawn also stays inline: the
         # decomposition costs strictly more than inner.count without
         # workers to spread it over (the carry's pass 1 is ~L sweeps).
-        workers = self._effective_workers(n * n_eps)
-        if (workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
+        if (self.workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
-            return self._local_inner.count(db, episodes, alphabet_size,
-                                           policy, window, index=index)
+            return self.inner.count(db, episodes, alphabet_size, policy,
+                                    window, index=index)
         if policy is MatchPolicy.RESET:
-            job = self._database_axis_job(db, matrix, alphabet_size, policy,
-                                          workers)
+            job = self._database_axis_job(db, matrix, alphabet_size, policy)
             return self._run(job)["total"]
-        if self._pick_axis(n_eps, workers) == "database":
+        if self._pick_axis(n_eps) == "database":
             return self._count_database_axis_carry(
-                db, matrix, alphabet_size, policy, window, workers, index=index
+                db, matrix, alphabet_size, policy, window, index=index
             )
         trie = as_candidate_trie(episodes)
-        groups = trie.subtree_index_groups(workers)
+        groups = trie.subtree_index_groups(self.workers)
         if len(groups) <= 1:
-            return self._local_inner.count(db, trie, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, trie, alphabet_size, policy, window,
+                                    index=index)
         # workers cache their index under this key; a caller-supplied
         # index for this very database already carries the hash
         if index is not None and index.db is db:
@@ -1263,7 +1086,7 @@ class ShardedEngine(CountingEngine):
             out[rows] = results[("chunk", i)]
         return out
 
-    def _pick_axis(self, n_eps: int, workers: int | None = None) -> str:
+    def _pick_axis(self, n_eps: int) -> str:
         """SUBSEQUENCE/EXPIRING axis choice.
 
         The episode axis is cheaper per character (the inner engine's
@@ -1272,11 +1095,7 @@ class ShardedEngine(CountingEngine):
         batches cannot use the workers at all without splitting the
         database, which is exactly when the state carry earns its keep.
         """
-        if self.axis != "auto":
-            return self.axis
-        if workers is None:
-            workers = self.workers
-        return "episode" if n_eps >= workers else "database"
+        return "episode" if n_eps >= self.workers else "database"
 
     def _payload(
         self,
@@ -1295,7 +1114,6 @@ class ShardedEngine(CountingEngine):
             "policy": policy.value,
             "window": window,
             "engine": self.inner.name,
-            "calibration": self._worker_calibration,
         }
         if db_key is not None:
             payload["db_key"] = db_key
@@ -1307,10 +1125,9 @@ class ShardedEngine(CountingEngine):
         matrix: np.ndarray,
         alphabet_size: int,
         policy: MatchPolicy,
-        workers: int,
     ) -> MapReduceJob:
         length = matrix.shape[1]
-        bounds = segment_bounds(db.size, workers)
+        bounds = segment_bounds(db.size, self.workers)
         inputs = [
             KeyValue("total", self._payload(db[lo:hi], matrix, alphabet_size,
                                             policy, None))
@@ -1334,7 +1151,6 @@ class ShardedEngine(CountingEngine):
         alphabet_size: int,
         policy: MatchPolicy,
         window: "int | None",
-        workers: int,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
         """Two-pass state-summarization split along the database axis.
@@ -1352,16 +1168,16 @@ class ShardedEngine(CountingEngine):
         """
         bounds = [
             (lo, hi)
-            for lo, hi in segment_bounds(db.size, workers)
+            for lo, hi in segment_bounds(db.size, self.workers)
             if hi > lo
         ]
         if len(bounds) <= 1:
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, matrix, alphabet_size, policy,
+                                    window, index=index)
         pool, owned = self._acquire_run_pool()
         if pool is None:
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, matrix, alphabet_size, policy,
+                                    window, index=index)
         inputs = [
             KeyValue(
                 i,

@@ -77,29 +77,6 @@ def eliminate_level(
     return result, frequent
 
 
-def calibration_provenance(explicit: "object | None") -> "dict[str, object]":
-    """Describe which calibration profile shaped a run, for run reports.
-
-    ``explicit`` is a caller-supplied profile (``source: "explicit"``);
-    ``None`` resolves the ambient profile the engines would see
-    (``source: "ambient"``), and ``{"source": "none"}`` means dispatch
-    ran on built-in defaults.
-    """
-    profile, source = explicit, "explicit"
-    if profile is None:
-        from repro.mining.calibration import active_profile
-
-        profile, source = active_profile(), "ambient"
-    if profile is None:
-        return {"source": "none"}
-    return {
-        "source": source,
-        "host": getattr(profile, "host", None),
-        "created": getattr(profile, "created", None),
-        "schema": getattr(profile, "schema", None),
-    }
-
-
 @dataclass(frozen=True)
 class MiningResult:
     """Full mining outcome: per-level results plus the union set S_A."""
@@ -145,12 +122,6 @@ class FrequentEpisodeMiner:
         ``"auto"``.  The engine is bound for the run, so every level
         shares one :class:`~repro.mining.counting.DatabaseIndex` and one
         count cache.
-    calibration:
-        An explicit :class:`~repro.mining.calibration.CalibrationProfile`
-        applied to the engine via ``with_profile`` (the ``auto`` and
-        ``sharded`` tiers tune their dispatch from it; exact counts are
-        unaffected).  ``None`` leaves ambient profile resolution in
-        effect.
     max_level:
         Safety cap on the level loop (the paper's evaluation stops at
         L=3; mining real data can run deeper).
@@ -179,7 +150,6 @@ class FrequentEpisodeMiner:
         engine: "CountingEngine | str | None" = None,
         max_level: int = 8,
         exhaustive_candidates: bool = False,
-        calibration: "object | None" = None,
         recorder: "Recorder | NullRecorder | None" = None,
     ) -> None:
         if not 0.0 <= threshold < 1.0:
@@ -195,7 +165,6 @@ class FrequentEpisodeMiner:
         self.window = window
         self.max_level = max_level
         self.exhaustive_candidates = exhaustive_candidates
-        self.calibration = calibration
         self.recorder = recorder
         self._last_report: "RunReport | None" = None
         if engine is not None and not isinstance(engine, (str, CountingEngine)):
@@ -203,10 +172,9 @@ class FrequentEpisodeMiner:
                 "engine must be a registry engine name or CountingEngine "
                 f"instance, got {type(engine).__name__}"
             )
-        resolved = get_engine(engine or "auto")
-        if calibration is not None:
-            resolved = resolved.with_profile(calibration)
-        self._engine = resolved.bind(alphabet.size, policy, window)
+        self._engine = get_engine(engine or "auto").bind(
+            alphabet.size, policy, window
+        )
 
     @property
     def degradation_events(self) -> tuple:
@@ -227,10 +195,6 @@ class FrequentEpisodeMiner:
         recorded run (``None`` until a ``mine()`` call runs with a real
         recorder; unrecorded runs leave the previous report in place)."""
         return self._last_report
-
-    def _calibration_provenance(self) -> "dict[str, object]":
-        """Which calibration profile shaped this run, for the report."""
-        return calibration_provenance(self.calibration)
 
     def mine(self, db: np.ndarray) -> MiningResult:
         """Run Algorithm 1 over ``db`` and return all frequent episodes.
@@ -311,7 +275,6 @@ class FrequentEpisodeMiner:
                 command="mine",
                 degradation_events=self.degradation_events,
                 cache=cache.stats(),
-                calibration=self._calibration_provenance(),
                 meta={
                     "engine": engine.engine.name,
                     "policy": self.policy.value,
@@ -336,7 +299,7 @@ class FrequentEpisodeMiner:
         is exactly ``mine(concatenated_stream)`` — counting is carried
         incrementally across chunks by a
         :class:`~repro.streaming.StreamingMiner` configured like this
-        miner (same alphabet/threshold/policy/engine/calibration);
+        miner (same alphabet/threshold/policy/engine);
         windowed mode mines the trailing ``horizon`` events.
         """
         from repro.streaming import StreamingMiner
@@ -346,7 +309,6 @@ class FrequentEpisodeMiner:
             self.threshold,
             policy=self.policy,
             window=self.window,
-            # the bound engine already carries with_profile(calibration)
             engine=self._engine.engine,
             mode=mode,
             horizon=horizon,

@@ -2,12 +2,12 @@
 
 A :class:`RunReport` snapshots a :class:`~repro.obs.recorder.Recorder`
 plus the run's structural context — degradation events from the
-supervised fleet, count-cache statistics, calibration provenance — into
-one JSON payload with a versioned schema (:data:`REPORT_SCHEMA`).
-Writes are atomic through :func:`repro.resilience.artifacts.
-write_json_artifact`; reads route through ``read_json_artifact`` so a
-truncated or wrong-schema file fails as a structured
-:class:`~repro.errors.ArtifactError`, never as garbage.
+supervised fleet, count-cache statistics — into one JSON payload with
+a versioned schema (:data:`REPORT_SCHEMA`).  Writes are atomic through
+:func:`repro.resilience.artifacts.write_json_artifact`; reads route
+through ``read_json_artifact`` so a truncated or wrong-schema file fails
+as a structured :class:`~repro.errors.ArtifactError`, never as
+garbage.
 
 Schema versioning: ``schema`` is bumped whenever a field changes
 meaning or shape; readers reject other versions with a regeneration
@@ -85,7 +85,6 @@ class RunReport:
         gauges: "dict[str, float]",
         degradation_events: "list[dict[str, Any]]",
         cache: "dict[str, int] | None" = None,
-        calibration: "dict[str, Any] | None" = None,
         meta: "dict[str, Any] | None" = None,
         created_at: "str | None" = None,
         dropped_spans: int = 0,
@@ -97,7 +96,6 @@ class RunReport:
         self.gauges = gauges
         self.degradation_events = degradation_events
         self.cache = cache
-        self.calibration = calibration
         self.meta = meta or {}
         self.created_at = created_at if created_at is not None else clock.utc_stamp()
         self.dropped_spans = int(dropped_spans)
@@ -111,7 +109,6 @@ class RunReport:
         command: str,
         degradation_events: "Iterable[Any]" = (),
         cache: "Mapping[str, int] | None" = None,
-        calibration: "Mapping[str, Any] | None" = None,
         meta: "Mapping[str, Any] | None" = None,
     ) -> "RunReport":
         """Snapshot ``recorder`` (plus run context) into a report.
@@ -130,7 +127,6 @@ class RunReport:
             gauges={k: float(v) for k, v in recorder.gauges.items()},
             degradation_events=[_event_payload(e) for e in degradation_events],
             cache=dict(cache) if cache is not None else None,
-            calibration=dict(calibration) if calibration is not None else None,
             meta=dict(meta) if meta is not None else None,
             dropped_spans=recorder.dropped_spans,
         )
@@ -149,7 +145,6 @@ class RunReport:
             "gauges": _jsonable(self.gauges),
             "degradation_events": [_jsonable(e) for e in self.degradation_events],
             "cache": _jsonable(self.cache),
-            "calibration": _jsonable(self.calibration),
             "meta": _jsonable(self.meta),
             "dropped_spans": self.dropped_spans,
         }
@@ -168,6 +163,8 @@ class RunReport:
                 f"build reads schema {REPORT_SCHEMA}); re-run the "
                 "traced command to regenerate it"
             )
+        # keys this build does not know (e.g. the ``calibration`` key of
+        # older reports) are ignored
         return cls(
             command=str(payload.get("command", "")),
             wall_s=float(payload.get("wall_s", 0.0)),
@@ -176,7 +173,6 @@ class RunReport:
             gauges=dict(payload.get("gauges", {})),
             degradation_events=list(payload.get("degradation_events", [])),
             cache=payload.get("cache"),
-            calibration=payload.get("calibration"),
             meta=dict(payload.get("meta", {})),
             created_at=payload.get("created_at"),
             dropped_spans=int(payload.get("dropped_spans", 0)),

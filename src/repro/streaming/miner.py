@@ -35,10 +35,9 @@ binds are exact lower bounds over the discarded prefix (see
 Counting dispatch goes through the engine registry: a
 ``consume``/``mine_stream`` call leases the engine's run scope once for
 the whole stream, so a ``sharded`` engine spawns its worker pool once
-per stream — not once per chunk — and an explicit or ambient
-calibration profile (:mod:`repro.mining.calibration`) steers the
-``auto`` tier exactly as it does in batch mining.  A bare ``update``
-call still scopes itself.
+per stream — not once per chunk — and the ``auto`` tier dispatches
+exactly as it does in batch mining.  A bare ``update`` call still
+scopes itself.
 """
 
 from __future__ import annotations
@@ -55,12 +54,7 @@ from repro.mining.candidates import generate_level, generate_next_level
 from repro.mining.counting import _NEG
 from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.episode import Episode, episodes_to_matrix
-from repro.mining.miner import (
-    LevelResult,
-    MiningResult,
-    calibration_provenance,
-    eliminate_level,
-)
+from repro.mining.miner import LevelResult, MiningResult, eliminate_level
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.spanning import (
     advance_expiring,
@@ -195,7 +189,6 @@ class StreamingMiner:
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         engine: "str | CountingEngine | None" = None,
-        calibration: "object | None" = None,
         mode: str = "landmark",
         horizon: "int | None" = None,
         max_level: int = 8,
@@ -242,11 +235,7 @@ class StreamingMiner:
         self.max_level = max_level
         self.exhaustive_candidates = exhaustive_candidates
         self.retention = retention
-        self.calibration = calibration
-        resolved = get_engine(engine or "auto")
-        if calibration is not None:
-            resolved = resolved.with_profile(calibration)
-        self._engine = resolved
+        self._engine = get_engine(engine or "auto")
         # content-addressed count dedupe for the engine hook: promotion
         # backfills over an unchanged retained prefix hit the cache
         # instead of re-dispatching the engine
@@ -318,7 +307,6 @@ class StreamingMiner:
             command="stream",
             degradation_events=tuple(self._sup_events),
             cache=self._count_cache.stats(),
-            calibration=calibration_provenance(self.calibration),
             meta={
                 "engine": getattr(
                     self._engine, "name", type(self._engine).__name__
@@ -469,18 +457,17 @@ class StreamingMiner:
         cls,
         path: "str | Path",
         engine: "str | CountingEngine | None" = None,
-        calibration: "object | None" = None,
     ) -> "StreamingMiner":
         """Rebuild a miner from a :meth:`checkpoint` file.
 
         Mining configuration (alphabet, threshold, policy, window,
         mode, horizon, retention, level cap) comes from the checkpoint;
-        ``engine`` and ``calibration`` may differ from the writer's —
-        every registry engine is exact, so the choice moves speed,
-        never counts.  Feeding the resumed miner the chunks the writer
-        had not yet consumed yields results bit-identical to an
-        uninterrupted run (``tests/test_resilience.py`` asserts this at
-        randomized kill points under all three policies).  Raises
+        ``engine`` may differ from the writer's — every registry engine
+        is exact, so the choice moves speed, never counts.  Feeding the
+        resumed miner the chunks the writer had not yet consumed yields
+        results bit-identical to an uninterrupted run
+        (``tests/test_resilience.py`` asserts this at randomized kill
+        points under all three policies).  Raises
         :class:`~repro.errors.CheckpointError` for torn, corrupt, or
         schema-mismatched files.
         """
@@ -498,7 +485,6 @@ class StreamingMiner:
                 policy=MatchPolicy(cfg["policy"]),
                 window=cfg["window"],
                 engine=engine,
-                calibration=calibration,
                 mode=cfg["mode"],
                 horizon=cfg["horizon"],
                 max_level=cfg["max_level"],

@@ -9,11 +9,6 @@ def count_scoped(db, episodes, alphabet_size):
 
 
 def count_aliased(db, episodes, alphabet_size):
-    with get_engine("sharded").with_profile(None) as eng:
+    with get_engine("sharded") as eng:
         return eng.count(db, episodes, alphabet_size)
 
-
-def count_trie_scoped(db, trie, alphabet_size, policy):
-    engine = get_engine("position-hop").with_profile(None)
-    with engine:
-        return engine.count(db, trie, alphabet_size, policy)

@@ -52,7 +52,7 @@ FIXTURE_CASES = {
     "rep001_good.py": ("src/repro/data/fixture_mod.py", []),
     "rep002_bad.py": ("src/repro/streaming/fixture_mod.py", ["REP002"] * 4),
     "rep002_good.py": ("src/repro/streaming/fixture_mod.py", []),
-    "rep003_bad.py": ("src/repro/mining/fixture_mod.py", ["REP003"] * 3),
+    "rep003_bad.py": ("src/repro/mining/fixture_mod.py", ["REP003"] * 2),
     "rep003_good.py": ("src/repro/mining/fixture_mod.py", []),
     "rep004_bad.py": ("src/repro/resilience/fixture_mod.py", ["REP004"]),
     "rep004_good.py": ("src/repro/resilience/fixture_mod.py", []),
@@ -132,7 +132,7 @@ def test_rep006_only_patrols_counting_packages():
     # no module-level exemptions since PR 10: measurement code times
     # through the repro.obs.clock seam instead
     assert [
-        f.rule_id for f in check(source, "src/repro/mining/calibration.py")
+        f.rule_id for f in check(source, "src/repro/mining/gminer_ref.py")
     ] == ["REP006"]
     assert check(source, "src/repro/resilience/backoff.py") == []
 
@@ -420,7 +420,6 @@ def test_mypy_strict_packages():
             "-m",
             "mypy",
             "src/repro/mining/engines.py",
-            "src/repro/mining/calibration.py",
             "src/repro/streaming",
             "src/repro/resilience",
             "src/repro/obs",

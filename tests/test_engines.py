@@ -7,6 +7,8 @@ equivalence across all three policies, including window edge cases
 the :class:`~repro.mining.episode.Episode` type cannot express.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,9 +381,10 @@ class TestShardedEngine:
         with pytest.raises(ConfigError):
             ShardedEngine(workers=0)
 
-    def test_bad_axis(self):
-        with pytest.raises(ConfigError, match="axis"):
-            ShardedEngine(axis="diagonal")
+    def test_fixed_defaults(self):
+        engine = ShardedEngine()
+        assert engine.workers == min(os.cpu_count() or 1, 8)
+        assert engine.min_shard_work == ShardedEngine.DEFAULT_MIN_SHARD_WORK
 
     def test_nested_sharding_rejected(self):
         with pytest.raises(ConfigError, match="wrap itself"):
@@ -422,8 +425,7 @@ class TestShardedDatabaseAxisCarry:
     @given(data=st.data(), n=small_alphabet)
     @settings(max_examples=20, deadline=None)
     def test_property_database_axis_vs_oracle(self, workers, data, n):
-        engine = ShardedEngine(workers=workers, min_shard_work=0,
-                               axis="database")
+        engine = ShardedEngine(workers=workers, min_shard_work=0)
         db = data.draw(db_strategy(n, max_len=200))
         ep = data.draw(episode_strategy(n))
         window = data.draw(st.integers(1, 8))
@@ -440,7 +442,7 @@ class TestShardedDatabaseAxisCarry:
         alpha = Alphabet.of_size(6)
         db = alpha.encode("ADBECF")
         ep = Episode.from_symbols("ABC", alpha)
-        engine = ShardedEngine(workers=6, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=6, min_shard_work=0)
         for policy, w in [
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, 2),
@@ -451,7 +453,7 @@ class TestShardedDatabaseAxisCarry:
         """EXPIRING gaps that exactly equal / exceed the window right at
         a segment boundary (workers=2 splits this db at index 3)."""
         alpha = Alphabet.of_size(4)
-        engine = ShardedEngine(workers=2, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=2, min_shard_work=0)
         # A at 2, B at 3 (boundary): gap 1 <= window 1 -> counts
         db = alpha.encode("DDABDD")
         ep = Episode.from_symbols("AB", alpha)
@@ -464,7 +466,7 @@ class TestShardedDatabaseAxisCarry:
 
     def test_repeated_symbol_matrices_database_axis(self):
         """Raw matrices (repeated symbols) through the carry split."""
-        engine = ShardedEngine(workers=4, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=4, min_shard_work=0)
         rng = np.random.default_rng(43)
         db = rng.integers(0, 4, 300).astype(np.uint8)
         matrix = np.array([[0, 0, 1], [2, 2, 2]], dtype=np.uint8)
@@ -480,8 +482,6 @@ class TestShardedDatabaseAxisCarry:
         engine = ShardedEngine(workers=4)
         assert engine._pick_axis(n_eps=2) == "database"
         assert engine._pick_axis(n_eps=100) == "episode"
-        pinned = ShardedEngine(workers=4, axis="episode")
-        assert pinned._pick_axis(n_eps=2) == "episode"
 
 
 class TestShardedRunScope:
@@ -621,7 +621,6 @@ class TestMapperExceptionPropagation:
         try:
             engine = ShardedEngine(
                 inner="test-worker-exploder", workers=2, min_shard_work=0,
-                axis="episode",
             )
             db = np.random.default_rng(51).integers(0, 5, 300).astype(np.uint8)
             eps = generate_level(Alphabet.of_size(5), 2)
@@ -830,6 +829,148 @@ class TestAutoSelection:
         chosen = auto.select(300, 650, MatchPolicy.SUBSEQUENCE)
         assert chosen.name == "vector-sweep"
 
+    def test_reset_always_takes_position_hop(self):
+        # even on the shape where SUBSEQUENCE would take the sweep
+        auto = AutoEngine()
+        assert auto.select(300, 650, MatchPolicy.RESET).name == "position-hop"
+        assert auto.select(10, 10, MatchPolicy.RESET).name == "position-hop"
+
     def test_count_candidates_guard(self):
         # sanity for the pipeline cap logic
         assert count_candidates(26, 3) == 15_600
+
+
+#: (n, episodes, engine auto picks for SUBSEQUENCE/EXPIRING).  The
+#: first six cells are the ``sizes x episodes`` grid the engine
+#: benchmarks sweep; the rest sit on either side of each threshold.
+AUTO_DISPATCH_CELLS = [
+    (512, 16, "position-hop"),
+    (512, 128, "vector-sweep"),
+    (4096, 16, "position-hop"),
+    (4096, 128, "position-hop"),
+    (16384, 16, "position-hop"),
+    (16384, 128, "position-hop"),
+    (4095, 1000, "vector-sweep"),   # just under SWEEP_MAX_N
+    (4096, 1000, "position-hop"),   # at SWEEP_MAX_N
+    (799, 100, "vector-sweep"),     # just under 8 chars per episode
+    (800, 100, "position-hop"),     # at 8 chars per episode
+    (300, 650, "vector-sweep"),
+    (100_000, 500, "position-hop"),
+]
+
+
+class TestAutoDispatchTable:
+    """auto's fixed rule, pinned cell by cell: sweep iff
+    ``n < SWEEP_MAX_N`` and ``n < SWEEP_CHARS_PER_EPISODE * E``; RESET
+    always takes the n-gram path of position-hop."""
+
+    def test_threshold_constants(self):
+        assert AutoEngine.SWEEP_MAX_N == 4096
+        assert AutoEngine.SWEEP_CHARS_PER_EPISODE == 8
+
+    @pytest.mark.parametrize(
+        "policy",
+        (MatchPolicy.SUBSEQUENCE, MatchPolicy.EXPIRING, MatchPolicy.RESET),
+        ids=lambda p: p.value,
+    )
+    @pytest.mark.parametrize("n,n_eps,expected", AUTO_DISPATCH_CELLS)
+    def test_fixed_rule(self, n, n_eps, expected, policy):
+        if policy is MatchPolicy.RESET:
+            expected = "position-hop"
+        assert AutoEngine().select(n, n_eps, policy).name == expected
+
+    @pytest.mark.parametrize(
+        "policy,window",
+        [(MatchPolicy.SUBSEQUENCE, None), (MatchPolicy.EXPIRING, 4)],
+    )
+    @pytest.mark.parametrize(
+        "n,n_eps,expected",
+        [cell for cell in AUTO_DISPATCH_CELLS if cell[0] <= 800],
+    )
+    def test_counts_match_oracle_on_both_sides(
+        self, n, n_eps, expected, policy, window
+    ):
+        """Whichever tier the rule picks, auto's counts are the oracle's."""
+        auto = AutoEngine()
+        assert auto.select(n, n_eps, policy).name == expected
+        alpha = Alphabet.of_size(12)
+        eps = generate_level(alpha, 2)
+        eps = (eps * (n_eps // len(eps) + 1))[:n_eps]
+        db = np.random.default_rng(n + n_eps).integers(0, 12, n)
+        db = db.astype(np.uint8)
+        got = auto.count(db, eps, 12, policy, window)
+        ref = count_batch_reference(db, eps, 12, policy, window)
+        assert np.array_equal(got, ref)
+
+
+class TestShardedFixedDefaults:
+    """ShardedEngine fans out to ``self.workers`` on every sharded call
+    and gates sharding on ``min_shard_work``
+    (``DEFAULT_MIN_SHARD_WORK`` when unset)."""
+
+    @pytest.mark.parametrize("workers", (2, 3, 5))
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_forced_sharding_exact(self, workers, policy, window):
+        engine = ShardedEngine(workers=workers, min_shard_work=0)
+        assert engine.workers == workers
+        alpha = Alphabet.of_size(5)
+        db = np.random.default_rng(13).integers(0, 5, 400).astype(np.uint8)
+        eps = generate_level(alpha, 2)
+        got = engine.count(db, eps, 5, policy, window)
+        ref = count_batch_reference(db, eps, 5, policy, window)
+        assert np.array_equal(got, ref), policy
+        assert engine.pools_spawned <= 1
+
+    @pytest.mark.parametrize("at_threshold", (False, True),
+                             ids=("below", "at"))
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_default_min_shard_work_gates_sharding(
+        self, at_threshold, policy, window
+    ):
+        engine = ShardedEngine(workers=2)
+        assert engine.min_shard_work == ShardedEngine.DEFAULT_MIN_SHARD_WORK
+        n_eps = 64
+        n = ShardedEngine.DEFAULT_MIN_SHARD_WORK // n_eps
+        if not at_threshold:
+            n -= 1
+        alpha = Alphabet.of_size(9)
+        eps = generate_level(alpha, 2)[:n_eps]
+        assert len(eps) == n_eps
+        db = np.random.default_rng(61).integers(0, 9, n).astype(np.uint8)
+        got = engine.count(db, eps, 9, policy, window)
+        ref = get_engine("position-hop").count(db, eps, 9, policy, window)
+        assert np.array_equal(got, ref), policy
+        if not at_threshold:
+            assert engine.pools_spawned == 0  # below the gate: inline
+        else:
+            assert engine.pools_spawned == (1 if _pools_available() else 0)
+
+
+class TestShardedMapperInProcess:
+    """A segment shard counted by the mapper equals the oracle for every
+    inner engine; the payload carries only the shard and the engine's
+    name, so workers dispatch exactly as the parent would."""
+
+    PAYLOAD_KEYS = {
+        "kind", "db", "matrix", "alphabet_size", "policy", "window",
+        "engine",
+    }
+
+    @pytest.mark.parametrize(
+        "inner", ("scalar-oracle", "vector-sweep", "position-hop", "auto")
+    )
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_segment_shard_counts_exactly(self, inner, policy, window):
+        from repro.mapreduce.types import KeyValue
+        from repro.mining.engines import _sharded_mapper
+
+        engine = ShardedEngine(inner=inner, workers=2)
+        db = np.random.default_rng(19).integers(0, 4, 120).astype(np.uint8)
+        matrix = np.array([[0, 1], [2, 3], [1, 0]], dtype=np.uint8)
+        payload = engine._payload(db, matrix, 4, policy, window)
+        assert set(payload) == self.PAYLOAD_KEYS
+        assert payload["engine"] == inner
+        (result,) = _sharded_mapper(KeyValue("k", payload))
+        ref = count_matrix_reference(db, matrix, policy, window)
+        assert result.key == "k"
+        assert np.array_equal(result.value, ref)

@@ -158,7 +158,6 @@ class TestMinerTelemetry:
         assert report.counters["mine.candidates"] > 0
         # per-level durations nest inside the root's wall time
         assert sum(s["duration_s"] for s in levels) <= report.wall_s
-        assert report.calibration is not None
         assert report.cache is not None and report.cache["misses"] > 0
         phases = dict(
             (name, pct) for name, _, _, pct in report.phase_rows()
@@ -310,6 +309,36 @@ class TestRunReportSerialization:
         payload["kind"] = "checkpoint"
         with pytest.raises(ArtifactError, match="not a run report"):
             RunReport.from_payload(payload)
+
+    def test_legacy_calibration_key_still_loads(self):
+        report = self._report()
+        payload = report.to_payload()
+        assert "calibration" not in payload
+        payload["calibration"] = {"source": "none"}
+        back = RunReport.from_payload(payload)
+        assert back.to_payload() == report.to_payload()
+
+    @pytest.mark.parametrize("legacy", (False, True),
+                             ids=("current", "legacy"))
+    def test_report_command_renders_without_calibration(
+        self, tmp_path, capsys, legacy
+    ):
+        """`repro report` renders current reports and those written with
+        a ``calibration`` key, and prints no calibration line."""
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        self._report().write(path)
+        if legacy:
+            payload = json.loads(path.read_text())
+            payload["calibration"] = {"source": "none"}
+            path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "run report: command=mine" in out
+        assert "calibration" not in out
 
     def test_future_schema_rejected_with_hint(self):
         payload = self._report().to_payload()

@@ -33,7 +33,7 @@ from repro.streaming.sources import FileStreamSource
 ALPHA = Alphabet.of_size(6)
 
 #: six length-2 episodes — enough to fill three workers on the episode
-#: axis (n_eps >= workers keeps axis="auto" on the episode split)
+#: axis (n_eps >= workers keeps the split on the episode axis)
 MATRIX = np.array(
     [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]], dtype=np.uint8
 )
@@ -105,11 +105,16 @@ class TestSupervisedShards:
 
     def test_worker_crash_database_carry_exact(self):
         db = make_db(seed=13)
-        engine = fresh_engine(axis="database")
-        expected = oracle(db, MatchPolicy.EXPIRING, window=4)
+        engine = fresh_engine()
+        # two episodes on three workers: too narrow for the episode axis,
+        # so the count takes the database-axis carry
+        matrix = MATRIX[:2]
+        expected = get_engine("scalar-oracle").count(
+            db, matrix, ALPHA.size, MatchPolicy.EXPIRING, 4
+        )
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})):
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count(db, matrix, ALPHA.size,
                                    MatchPolicy.EXPIRING, window=4)
         np.testing.assert_array_equal(got, expected)
         assert "pool-respawn" in kinds(engine.events)
