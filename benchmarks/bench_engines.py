@@ -338,6 +338,11 @@ STREAM_CHUNK_EVENTS = 4000
 STREAM_THRESHOLD = 0.02
 STREAM_MAX_LEVEL = 3
 STREAM_DRIFT = 0.2
+#: timed pairs continue past ``repeats`` until both modes have this much
+#: CPU time sampled (capped at STREAM_MAX_PAIRS): RESET feeds take ~10 ms
+#: a run, where two samples are too few for a best-of to settle
+STREAM_MIN_TIMED_S = 0.2
+STREAM_MAX_PAIRS = 25
 
 
 def run_streaming_throughput(
@@ -361,6 +366,13 @@ def run_streaming_throughput(
     trajectory.  ``repeats`` > 1 takes the best of N timings per mode
     (the feed replays identically), which the scaled-down tier-1 smoke
     uses to keep its hard speedup floor off the noise floor.
+
+    The two modes are timed in interleaved pairs, alternating which
+    runs first, so a burst of load on a shared host cannot land on one
+    mode only; in process CPU time, so time spent descheduled is not
+    charged to either; and pairing continues past ``repeats`` until
+    each mode has ``STREAM_MIN_TIMED_S`` sampled (``STREAM_MAX_PAIRS``
+    at most), so the ~10 ms RESET runs get enough samples to settle.
     """
     import gc
     import time
@@ -385,41 +397,50 @@ def run_streaming_throughput(
             n_chunks, chunk_events, alphabet=alphabet, seed=seed, drift=drift
         )
 
-        inc_s = float("inf")
-        for _ in range(max(1, int(repeats))):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                miner = StreamingMiner(
-                    alphabet, threshold=threshold, policy=policy,
-                    window=window, engine="auto", max_level=max_level,
-                )
-                miner.consume(source)
-                inc_s = min(inc_s, time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        inc_result = miner.result()
+        def incremental():
+            miner = StreamingMiner(
+                alphabet, threshold=threshold, policy=policy,
+                window=window, engine="auto", max_level=max_level,
+            )
+            miner.consume(source)
+            return miner
 
-        rec_s = float("inf")
-        for _ in range(max(1, int(repeats))):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                parts: "list[np.ndarray]" = []
-                batch = FrequentEpisodeMiner(
-                    alphabet, threshold=threshold, policy=policy,
-                    window=window, engine="auto", max_level=max_level,
-                )
-                for chunk in source.chunks():
-                    parts.append(chunk)
-                    rec_result = batch.mine(np.concatenate(parts))
-                rec_s = min(rec_s, time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+        def recount():
+            parts: "list[np.ndarray]" = []
+            batch = FrequentEpisodeMiner(
+                alphabet, threshold=threshold, policy=policy,
+                window=window, engine="auto", max_level=max_level,
+            )
+            for chunk in source.chunks():
+                parts.append(chunk)
+                result = batch.mine(np.concatenate(parts))
+            return result
+
+        best = {"inc": float("inf"), "rec": float("inf")}
+        spent = {"inc": 0.0, "rec": 0.0}
+        outcome = {}
+        pairs = 0
+        while pairs < max(1, int(repeats)) or (
+            min(spent.values()) < STREAM_MIN_TIMED_S
+            and pairs < STREAM_MAX_PAIRS
+        ):
+            order = (("inc", incremental), ("rec", recount))
+            for mode, fn in order[::-1] if pairs % 2 else order:
+                gc.collect()
+                gc.disable()
+                try:
+                    t0 = time.process_time()
+                    outcome[mode] = fn()
+                    dt = time.process_time() - t0
+                finally:
+                    if gc_was_enabled:
+                        gc.enable()
+                best[mode] = min(best[mode], dt)
+                spent[mode] += dt
+            pairs += 1
+        inc_s, rec_s = best["inc"], best["rec"]
+        miner, rec_result = outcome["inc"], outcome["rec"]
+        inc_result = miner.result()
 
         total = miner.total_events
         for mode, seconds, result in (
@@ -471,11 +492,13 @@ def run_streaming_throughput(
 
 #: telemetry_overhead series parameters: a SUBSEQUENCE batch on the
 #: auto engine, repeated enough passes per timed call that the 1%
-#: NullRecorder ceiling sits well above timer jitter
+#: NullRecorder ceiling sits well above timer jitter, and enough
+#: interleaved repeats that a median of paired differences survives a
+#: few stalled repeats
 TELEMETRY_N = 40_000
 TELEMETRY_EPISODES = 300
 TELEMETRY_PASSES = 3
-TELEMETRY_REPEATS = 5
+TELEMETRY_REPEATS = 9
 
 
 def run_telemetry_overhead(
@@ -498,6 +521,16 @@ def run_telemetry_overhead(
     must be identical across all three modes (telemetry must never
     perturb counting) and ``check_regression.check_telemetry`` gates
     the overhead columns hard: null <= 1%, recording <= 5%.
+
+    Each repeat times all three modes back to back, rotating which
+    runs first, and a mode's overhead is the *median over repeats of
+    its paired difference* to that repeat's baseline: a stall or a
+    frequency ramp shifts the three loops of one repeat together and
+    cancels in the difference, and the median discards the repeats it
+    hit unevenly.  Loops are timed in process CPU time: the recorder's
+    cost is CPU work in this process, while time spent descheduled
+    behind other processes on a shared host is not.  The baseline row
+    reports its quartiles so the spread the ceilings sit in is visible.
     """
     import gc
 
@@ -561,52 +594,50 @@ def run_telemetry_overhead(
         loop_plain()  # untimed warm-up: caches, lazy imports, numpy
         # one-time setup — the baseline must not eat the cold-start
         # cost the instrumented loops then amortize
-        # interleave the modes round-robin, best-of over a *fixed*
-        # repeat count: a frequency ramp or background stall then
-        # taxes every mode equally instead of whichever happened to
-        # run during it (sequential best-of-N with an accumulated-
-        # time early exit gave the slow moment to one mode only)
-        best = {"baseline": float("inf"), "null": float("inf"),
-                "recording": float("inf")}
         timed = (
             ("baseline", loop_plain),
             ("null", make_instrumented(NULL_RECORDER)),
             ("recording", recording),
         )
-        for _ in range(max(repeats, 1)):
-            for mode, fn in timed:
-                t0 = time.perf_counter()
+        samples: "dict[str, list[float]]" = {mode: [] for mode, _ in timed}
+        for r in range(max(repeats, 1)):
+            # rotate the order so no mode always runs first (cold
+            # caches) or last (after the others' allocations)
+            for mode, fn in timed[r % 3:] + timed[:r % 3]:
+                t0 = time.process_time()
                 fn()
-                best[mode] = min(best[mode], time.perf_counter() - t0)
-        base_s, null_s, rec_s = (
-            best["baseline"], best["null"], best["recording"]
-        )
+                samples[mode].append(time.process_time() - t0)
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    def overhead_pct(seconds: float) -> float:
-        return round((seconds - base_s) / base_s * 100.0, 2) if base_s else 0.0
-
+    base = np.array(samples["baseline"])
+    base_s = float(np.median(base))
+    q1, q3 = (float(q) for q in np.percentile(base, [25, 75]))
     rows = [
-        {"mode": "baseline", "seconds": round(base_s, 6)},
         {
-            "mode": "null",
-            "seconds": round(null_s, 6),
-            "overhead_s": round(null_s - base_s, 6),
-            "overhead_pct": overhead_pct(null_s),
-        },
-        {
-            "mode": "recording",
-            "seconds": round(rec_s, 6),
-            "overhead_s": round(rec_s - base_s, 6),
-            "overhead_pct": overhead_pct(rec_s),
+            "mode": "baseline",
+            "seconds": round(base_s, 6),
+            "q1_s": round(q1, 6),
+            "q3_s": round(q3, 6),
+            "iqr_pct": round((q3 - q1) / base_s * 100.0, 2) if base_s else 0.0,
         },
     ]
+    for mode in ("null", "recording"):
+        overhead_s = float(np.median(np.array(samples[mode]) - base))
+        rows.append({
+            "mode": mode,
+            "seconds": round(float(np.median(samples[mode])), 6),
+            "overhead_s": round(overhead_s, 6),
+            "overhead_pct": (
+                round(overhead_s / base_s * 100.0, 2) if base_s else 0.0
+            ),
+        })
     for row in rows:
         extra = (
-            f" ({row['overhead_pct']:+.2f}% vs baseline)"
-            if "overhead_pct" in row else ""
+            f" ({row['overhead_pct']:+.2f}% vs baseline, paired median)"
+            if "overhead_pct" in row
+            else f" (quartile spread {row['iqr_pct']:.2f}%)"
         )
         print(
             f"telemetry    {row['mode']:11s} n={n:>7,} E={n_episodes} "
@@ -651,7 +682,7 @@ def main(argv: "list[str] | None" = None) -> int:
         # quick mode shrinks the telemetry workload; the overhead
         # ceilings are relative, so they gate at any size
         telemetry=(
-            dict(n=20_000, n_episodes=200, repeats=3)
+            dict(n=20_000, n_episodes=200, repeats=TELEMETRY_REPEATS)
             if args.quick else None
         ),
     )

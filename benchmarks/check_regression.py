@@ -333,7 +333,7 @@ def check_streaming(
 #: live --trace Recorder must stay cheap
 TELEMETRY_NULL_MAX_PCT = 1.0
 TELEMETRY_RECORDING_MAX_PCT = 5.0
-#: absolute noise floor: interleaved best-of timing still jitters by a
+#: absolute noise floor: paired-median timing still jitters by a
 #: few milliseconds on a loaded host, so a percentage breach smaller
 #: than this is noise, not recorder cost.  The recorder ops under test
 #: cost microseconds per loop, so any *real* breach (a NullRecorder

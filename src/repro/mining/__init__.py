@@ -15,7 +15,7 @@ from repro.mining.candidates import (
     generate_next_level,
 )
 from repro.mining.policies import MatchPolicy
-from repro.mining.fsm import EpisodeFSM, FSMSnapshot, build_transition_table
+from repro.mining.fsm import EpisodeFSM, build_transition_table
 from repro.mining.counting import (
     DatabaseIndex,
     count_episode,
@@ -56,7 +56,6 @@ __all__ = [
     "generate_next_level",
     "MatchPolicy",
     "EpisodeFSM",
-    "FSMSnapshot",
     "build_transition_table",
     "DatabaseIndex",
     "count_episode",

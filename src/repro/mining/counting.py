@@ -247,7 +247,9 @@ def count_episode(
     materializing the ``alphabet_size ** level`` gram table for one
     episode is O(N^L) memory, so RESET uses a direct O(n·L) vectorized
     sliding-window comparison instead, and SUBSEQUENCE/EXPIRING use
-    position-list hopping.
+    position-list hopping.  Regime: one episode, where building a trie
+    buys no sharing — the single-episode API and the paper-figure
+    drivers.
     """
     db = _check_db(db)
     validate_window(policy, window)
@@ -293,11 +295,13 @@ def resume_subsequence_batch(
 
     Runs the greedy non-overlapped recurrence over ``db`` with episode
     ``e`` starting in FSM state ``states[e]`` (0..L-1), returning
-    ``(counts, exit_states)``.  This is the resumable primitive behind
-    the segmented two-pass decomposition in :mod:`repro.mining.spanning`:
-    because the SUBSEQUENCE state is one small integer, a segment's
-    behaviour from *every* entry state can be tabulated in a single
-    sweep and segments composed exactly.
+    ``(counts, exit_states)``.  Regime: the ``vector-sweep`` tier
+    (entered from state 0), which ``auto`` picks below ``SWEEP_MAX_N``
+    and ``SWEEP_CHARS_PER_EPISODE`` characters per episode — short
+    databases, where one vectorized step per character beats
+    per-episode hop setup.  From arbitrary entry states it is the
+    reference the position-hop resume and segment summaries of
+    :mod:`repro.mining.spanning` are tested bit-identical against.
     """
     n_eps, length = matrix.shape
     state = np.array(states, dtype=np.int64, copy=True)
@@ -340,7 +344,10 @@ def _expiring_step(
     window.  All states read the *previous* character's snapshot, so one
     symbol can both extend an existing prefix and re-anchor a fresher
     one — matching :class:`~repro.mining.fsm.EpisodeFSM`'s EXPIRING
-    semantics exactly.
+    semantics exactly.  Regime: the ``vector-sweep`` tier's EXPIRING
+    sweep, and the lockstep live-entry fix-up of
+    :func:`repro.mining.spanning.advance_expiring`, which must compare
+    two runs' full state after every character.
     """
     ok = mat == c
     if length > 1:
@@ -367,7 +374,9 @@ def resume_expiring_batch(
     so a snapshot taken at a segment boundary resumes exactly.  Returns
     ``(counts, exit_times)``; the input snapshot is not mutated.  Column
     0 (the empty prefix) carries no information — state 1 re-anchors
-    unconditionally.
+    unconditionally.  Regime: the ``vector-sweep`` tier's short
+    databases (see :func:`resume_subsequence_batch`); the reference the
+    position-hop EXPIRING summary is tested bit-identical against.
     """
     n_eps, length = matrix.shape
     times = np.array(times, dtype=np.int64, copy=True)
@@ -553,28 +562,6 @@ def _resume_subsequence_hopping(
     return 1 + extra, exit_state
 
 
-def _expiring_chain_with_tails(
-    index: DatabaseIndex, items: "tuple[int, ...]", window: int
-) -> "tuple[np.ndarray, np.ndarray, list[tuple[int, int] | None]]":
-    """Windowed chain fold capturing each prefix depth's final frontier.
-
-    Returns ``(ends, starts, tails)`` where ``(ends, starts)`` is the
-    full-episode frontier and ``tails[s-1]`` is the ``(end, start)``
-    pair of the *last* completion on the depth-``s`` frontier for
-    ``s = 1..L-1`` (``None`` when that frontier is empty) — the inputs
-    :func:`_expiring_exit_row` turns into the sweep's exit snapshot.
-    """
-    ends = index.positions(items[0])
-    starts = ends
-    tails: "list[tuple[int, int] | None]" = []
-    for item in items[1:]:
-        tails.append(
-            (int(ends[-1]), int(starts[-1])) if ends.size else None
-        )
-        ends, starts = _hop_positions(index, ends, starts, item, window)
-    return ends, starts, tails
-
-
 def _expiring_exit_row(
     length: int,
     tails: "list[tuple[int, int] | None]",
@@ -631,7 +618,11 @@ def count_batch_reference(
     policy: MatchPolicy = MatchPolicy.RESET,
     window: int | None = None,
 ) -> np.ndarray:
-    """Per-character scalar FSM counting — the ground-truth oracle."""
+    """Per-character scalar FSM counting — the ground-truth oracle.
+
+    Regime: verification only (the ``scalar-oracle`` engine and every
+    parity test); O(n·E) interpreter steps.
+    """
     out = np.zeros(len(episodes), dtype=np.int64)
     for i, ep in enumerate(episodes):
         fsm = EpisodeFSM(ep, alphabet_size, policy, window)
@@ -657,6 +648,8 @@ def count_matrix_reference(
     * ``SUBSEQUENCE`` / ``EXPIRING`` — the scalar FSM recurrences of
       :class:`~repro.mining.fsm.EpisodeFSM`, applied to the raw item
       row.
+
+    Regime: verification only, like :func:`count_batch_reference`.
     """
     db = np.asarray(_check_db(db), dtype=np.int64)
     validate_window(policy, window)

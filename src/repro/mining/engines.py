@@ -29,7 +29,8 @@ it in an :class:`EngineRegistry`, and layers composition on top:
   batch is wide enough, and otherwise along the *database* axis via the
   two-pass state-summarization carry of :mod:`repro.mining.spanning`
   (Patnaik et al.'s accelerator-oriented transformation): workers
-  compute per-segment state summaries in parallel (pass 1), and a cheap
+  compute per-segment state summaries in parallel (pass 1, the same
+  trie-shared position-hop summaries every other caller uses), and a cheap
   sequential compose threads the true entry states through them — exact
   for occurrences straddling any number of segments.
 
@@ -165,17 +166,23 @@ from repro.mining.trie import (
     as_candidate_trie,
     cached_count_batch,
     count_positions_trie,
-    resume_positions_trie,
 )
 from repro.mining.spanning import (
     compose_expiring,
     compose_subsequence,
     count_starts_in,
-    expiring_segment_summary,
+    hop_expiring_summary,
+    hop_subsequence_summary,
     iter_boundary_windows,
     segment_bounds,
-    subsequence_segment_summary,
 )
+
+# Compatibility shim, not a call path: nothing in this module calls
+# ``resume_positions_trie`` (the streaming store imports it from
+# ``repro.mining.trie`` itself).  The whole-run benchmark's layer timer
+# (``perfbench/layers.py``) still wraps this name; the next benchmark
+# change drops that wrap, and then this import.
+from repro.mining.trie import resume_positions_trie
 
 __all__ = [
     "CountingEngine",
@@ -236,37 +243,6 @@ class CountingEngine:
         the engine's ``with`` scope.
         """
         raise NotImplementedError
-
-    def resume_batch(
-        self,
-        db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
-        policy: MatchPolicy,
-        window: "int | None",
-        state: np.ndarray,
-        t0: int = 0,
-        index: "DatabaseIndex | None" = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Batched position-hop chunk resume — the streaming advance
-        entry point.
-
-        Advances each episode's carried FSM state (``SUBSEQUENCE``
-        entry-state vector, ``EXPIRING`` absolute timestamp snapshot)
-        through ``db`` treated as the next segment of an unbounded
-        database, returning ``(counts, exit_state)`` bit-identical to
-        the resumable sweeps of :mod:`repro.mining.counting`.  All
-        tiers share the one exact implementation
-        (:func:`repro.mining.trie.resume_positions_trie` — interpreter
-        work independent of segment length, sibling episodes sharing
-        prefix hop chains), so there is nothing for a tier to
-        specialize; the method lives on the engine so streaming
-        dispatch stays an engine concern like ``count``.  Not
-        run-scoped: the resume path holds no pooled resources.
-        """
-        return resume_positions_trie(
-            db, as_candidate_trie(episodes), policy, window, state, t0=t0,
-            index=index,
-        )
 
     def bind(
         self,
@@ -709,9 +685,9 @@ def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
         # pass 1 of the database-axis state carry: summarize this
         # segment's FSM behaviour; the parent composes entry states
         if policy is MatchPolicy.SUBSEQUENCE:
-            out = subsequence_segment_summary(payload["db"], payload["matrix"])
+            out = hop_subsequence_summary(payload["db"], payload["matrix"])
         else:
-            out = expiring_segment_summary(
+            out = hop_expiring_summary(
                 payload["db"],
                 payload["matrix"],
                 int(payload["window"]),
@@ -1049,7 +1025,8 @@ class ShardedEngine(CountingEngine):
         # segment would be zero-width and skipped, leaving no shards.
         # A scope whose pool could not spawn also stays inline: the
         # decomposition costs strictly more than inner.count without
-        # workers to spread it over (the carry's pass 1 is ~L sweeps).
+        # workers to spread it over (the carry's pass 1 resumes every
+        # entry state, ~L resumes per episode).
         if (self.workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
             return self.inner.count(db, episodes, alphabet_size, policy,
@@ -1155,11 +1132,15 @@ class ShardedEngine(CountingEngine):
     ) -> np.ndarray:
         """Two-pass state-summarization split along the database axis.
 
-        Pass 1 (workers): one ``summary`` shard per nonempty segment.
+        Pass 1 (workers): one ``summary`` shard per nonempty segment,
+        each a trie-shared position-hop summary
+        (:func:`~repro.mining.spanning.hop_subsequence_summary` /
+        :func:`~repro.mining.spanning.hop_expiring_summary`).
         Pass 2 (here): sequential compose of entry states — table
         lookups for SUBSEQUENCE, bounded lockstep fix-up for EXPIRING.
         The pool is acquired *before* committing to the decomposition:
-        pass 1 costs ~L sweeps of the database, pure overhead without
+        pass 1 resumes every SUBSEQUENCE entry state (~L resumes per
+        episode, against one count inline), pure overhead without
         workers to spread it over, so a pool-less platform counts
         inline on the inner engine instead.  A pool failing mid-job is
         the supervisor's problem: completed summary shards are kept and

@@ -55,34 +55,15 @@ def build_transition_table(
     return table
 
 
-@dataclass(frozen=True)
-class FSMSnapshot:
-    """Serializable resume point of an :class:`EpisodeFSM`.
-
-    Plain ints and tuples only, so snapshots pickle cheaply across
-    process boundaries — the segmented two-pass decomposition
-    (:mod:`repro.mining.spanning`) ships them between sharded workers.
-    ``times`` holds the EXPIRING per-prefix completion indices in
-    *absolute* database coordinates (``None`` for the other policies),
-    which is what makes a snapshot taken at a segment boundary resume
-    exactly: the window check ``t - times[s-1] <= window`` needs no
-    rebasing.
-    """
-
-    state: int
-    count: int
-    times: "tuple[int, ...] | None" = None
-
-
 @dataclass
 class EpisodeFSM:
     """Stateful matcher for one episode.
 
     Supports every policy, including ``EXPIRING`` which needs timestamps
-    (here: character indices) in addition to symbols.  State can be
-    exported with :meth:`snapshot` and re-entered with :meth:`restore`,
-    so a run over ``db`` may be split at any index and resumed — the
-    scalar ground truth for the segmented state-carry decompositions.
+    (here: character indices) in addition to symbols.  Regime:
+    verification only — the ``scalar-oracle`` engine
+    (:func:`~repro.mining.counting.count_batch_reference`) and the GPU
+    kernel tests count with it; no production path steps it.
     """
 
     episode: Episode
@@ -105,26 +86,6 @@ class EpisodeFSM:
         self.count = 0
         self._last_advance = -1
         self._times = None
-
-    def snapshot(self) -> FSMSnapshot:
-        """Export the current state (serializable, see :class:`FSMSnapshot`)."""
-        times = getattr(self, "_times", None)
-        return FSMSnapshot(
-            state=self.state,
-            count=self.count,
-            times=tuple(times) if times is not None else None,
-        )
-
-    def restore(self, snap: FSMSnapshot) -> "EpisodeFSM":
-        """Re-enter a :meth:`snapshot` state; returns self for chaining.
-
-        Resuming with the original character indices reproduces the
-        unsplit run exactly (property-tested in ``tests/test_fsm.py``).
-        """
-        self.state = snap.state
-        self.count = snap.count
-        self._times = list(snap.times) if snap.times is not None else None
-        return self
 
     def step(self, c: int, t: int | None = None) -> int:
         """Consume one character (with index ``t`` for EXPIRING)."""

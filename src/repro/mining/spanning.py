@@ -18,14 +18,16 @@ any number of segments, so the per-segment counts are stitched by FSM
 *state carry* instead — here in the two-pass state-summarization form
 of Patnaik et al.'s accelerator-oriented transformation (PAPERS.md):
 
-* **Pass 1 (parallel over segments)** computes a per-segment summary.
-  SUBSEQUENCE state is one integer in ``0..L-1``, so the summary is the
-  full entry-state table — ``(exit state, completions)`` for *every*
-  possible entry — tabulated in a single ``E*L``-lane sweep
-  (:func:`subsequence_segment_summary`).  EXPIRING state is a timestamp
-  vector (not enumerable), so the summary is the segment's run from the
-  *empty* state plus its exit snapshot
-  (:func:`expiring_segment_summary`).
+* **Pass 1 (parallel over segments)** computes a per-segment summary
+  with one position-hop walk over the batch's candidate trie, so
+  episodes sharing a prefix share its hop chain and interpreter work
+  is independent of segment length.  SUBSEQUENCE state is one integer in
+  ``0..L-1``, so the summary is the full entry-state table —
+  ``(exit state, completions)`` for *every* possible entry
+  (:func:`hop_subsequence_summary`).  EXPIRING state is a timestamp
+  vector (not enumerable), so the summary is the segment's run from
+  the *empty* state plus its exit snapshot
+  (:func:`hop_expiring_summary`).
 * **Pass 2 (cheap sequential compose)** threads the true entry state
   through the summaries.  SUBSEQUENCE composes by pure table lookup
   (:func:`compose_subsequence` — a parallel-prefix function
@@ -39,12 +41,13 @@ of Patnaik et al.'s accelerator-oriented transformation (PAPERS.md):
   lockstep has simply computed the exact run, so the decomposition is
   exact for occurrences straddling any number of segments.
 
-:func:`count_segmented` uses the same machinery serially; the sharded
-counting engine (:mod:`repro.mining.engines`) dispatches pass 1 across
-process-pool workers; the streaming subsystem (:mod:`repro.streaming`)
-treats each arriving chunk as the next segment of an unbounded database
-and carries the composed exit state between chunks via
-:func:`advance_subsequence` / :func:`advance_expiring`.
+These two summaries are the only ones: :func:`count_segmented` uses
+them serially, the sharded counting engine (:mod:`repro.mining.engines`)
+dispatches pass 1 across process-pool workers, and the windowed stream
+(:mod:`repro.streaming`) caches them per window-resident segment and
+folds them with :func:`advance_subsequence` / :func:`advance_expiring`.
+Resuming from one *carried* state rather than tabulating every entry is
+:func:`repro.mining.trie.resume_positions_trie`, the same walk.
 Characterization 3's cost-of-spanning trend is precisely the growth of
 this carry work with segment count.
 """
@@ -60,17 +63,18 @@ from repro.errors import ValidationError
 from repro.mining.counting import (
     _NEG,
     DatabaseIndex,
-    _chain_positions,
-    _expiring_chain_with_tails,
     _expiring_exit_row,
     _expiring_step,
-    _resume_subsequence_hopping,
+    _hop_positions,
     count_batch,
-    resume_expiring_batch,
-    resume_subsequence_batch,
 )
 from repro.mining.episode import Episode, episodes_to_matrix
 from repro.mining.policies import MatchPolicy, validate_window
+from repro.mining.trie import (
+    CandidateTrie,
+    _trie_subsequence_resume,
+    as_candidate_trie,
+)
 
 
 @dataclass(frozen=True)
@@ -259,124 +263,82 @@ class ExpiringSummary:
     exit_times: np.ndarray  # (E, L+1)
 
 
-def subsequence_segment_summary(
-    db_seg: np.ndarray, matrix: np.ndarray
+def hop_subsequence_summary(
+    db_seg: np.ndarray,
+    batch: "CandidateTrie | np.ndarray",
+    index: "DatabaseIndex | None" = None,
 ) -> SubsequenceSummary:
     """Tabulate a segment's behaviour from every SUBSEQUENCE entry state.
 
-    One ``E*L``-lane resumable sweep: lane ``(s, e)`` runs episode ``e``
-    entered in state ``s``, so the whole table costs a single pass over
-    the segment regardless of L.
+    ``batch`` is a :class:`~repro.mining.trie.CandidateTrie` or an
+    ``(E, L)`` matrix (column ``i`` of the table is row ``i``).  One
+    trie walk resumes all ``L`` entry states per episode, each
+    terminal's full-episode chain shared across them — bit-identical to
+    ``L`` rows of :func:`~repro.mining.counting.resume_subsequence_batch`
+    in O(trie nodes + E·L·(L + log m)) hops instead of an ``E·L``-lane
+    per-character sweep.  Regime: every SUBSEQUENCE segment summary —
+    the sharded database axis, :func:`count_segmented` and the windowed
+    stream's cached segments.  The sweep table was up to ~2x faster on
+    segments of ~1k events with hundreds of episodes, a shape only
+    :func:`count_segmented`'s carry mode reaches; on the sharded axis
+    (fewer episodes than workers, long segments) this is 30–60x faster.
     """
-    n_eps, length = matrix.shape
-    tiled = np.tile(matrix, (length, 1))
-    entry = np.repeat(np.arange(length, dtype=np.int64), n_eps)
-    counts, exits = resume_subsequence_batch(db_seg, tiled, entry)
-    return SubsequenceSummary(
-        counts=counts.reshape(length, n_eps), exits=exits.reshape(length, n_eps)
+    trie = as_candidate_trie(batch)
+    index = index if index is not None else DatabaseIndex(db_seg)
+    n_eps, length = trie.matrix.shape
+    entries = np.repeat(
+        np.arange(length, dtype=np.int64)[:, np.newaxis], n_eps, axis=1
     )
-
-
-def expiring_segment_summary(
-    db_seg: np.ndarray, matrix: np.ndarray, window: int, t0: int
-) -> ExpiringSummary:
-    """Run one segment from the empty EXPIRING state (speculative pass 1).
-
-    ``t0`` is the absolute index of ``db_seg[0]`` so the exit snapshot
-    composes with neighbouring segments without rebasing.
-    """
-    n_eps, length = matrix.shape
-    times = np.full((n_eps, length + 1), _NEG, dtype=np.int64)
-    counts, exit_times = resume_expiring_batch(db_seg, matrix, window, times, t0)
-    return ExpiringSummary(counts=counts, exit_times=exit_times)
-
-
-def hop_subsequence_resume(
-    db_seg: np.ndarray,
-    matrix: np.ndarray,
-    entry: np.ndarray,
-    index: "DatabaseIndex | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Position-hop SUBSEQUENCE resume: ``(counts, exit_states)`` for a
-    segment entered in states ``entry``.
-
-    Bit-identical to :func:`~repro.mining.counting.
-    resume_subsequence_batch` but built from the segment's own
-    :class:`~repro.mining.counting.DatabaseIndex` — interpreter work is
-    O(E·(L + log m)), *independent of segment length*, which is what
-    makes the streaming chunk advance sublinear in chunk size (the
-    per-character sweep it replaces was the ``streaming_throughput``
-    pessimization).  Unlike :func:`subsequence_segment_summary` this
-    resumes only the entry states actually carried, not all L rows.
-    """
-    index = index if index is not None else DatabaseIndex(db_seg)
-    n_eps = matrix.shape[0]
-    counts = np.zeros(n_eps, dtype=np.int64)
-    exits = np.zeros(n_eps, dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        chain = _chain_positions(index, items, None)
-        counts[i], exits[i] = _resume_subsequence_hopping(
-            index, items, int(entry[i]), chain
-        )
-    return counts, exits
-
-
-def hop_subsequence_summary(
-    db_seg: np.ndarray,
-    matrix: np.ndarray,
-    index: "DatabaseIndex | None" = None,
-) -> SubsequenceSummary:
-    """Position-hop tabulation of the full SUBSEQUENCE entry table.
-
-    Bit-identical to :func:`subsequence_segment_summary` (one resume
-    per entry state, sharing each episode's chain), in O(E·L·log m)
-    hops instead of an ``E·L``-lane per-character sweep.  Used where
-    *every* entry state is needed — the decremental sliding window
-    caches these per segment and composes by table lookup.
-    """
-    n_eps, length = matrix.shape
-    index = index if index is not None else DatabaseIndex(db_seg)
-    counts = np.zeros((length, n_eps), dtype=np.int64)
-    exits = np.zeros((length, n_eps), dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        chain = _chain_positions(index, items, None)
-        for s in range(length):
-            counts[s, i], exits[s, i] = _resume_subsequence_hopping(
-                index, items, s, chain
-            )
+    counts, exits = _trie_subsequence_resume(index, trie, entries)
     return SubsequenceSummary(counts=counts, exits=exits)
 
 
 def hop_expiring_summary(
     db_seg: np.ndarray,
-    matrix: np.ndarray,
+    batch: "CandidateTrie | np.ndarray",
     window: int,
     t0: int,
     index: "DatabaseIndex | None" = None,
 ) -> ExpiringSummary:
-    """Position-hop EXPIRING empty-entry summary.
+    """Run one segment from the empty EXPIRING state (speculative pass 1).
 
-    Bit-identical to :func:`expiring_segment_summary` — counts from the
-    windowed jump chains, exit snapshot from each prefix depth's
-    frontier tail (:func:`~repro.mining.counting._expiring_exit_row`) —
-    without sweeping the segment per character.  The carried entry
-    state still composes through :func:`advance_expiring`, whose
-    dead-entry fast path accepts this summary O(1).
+    ``batch`` is a :class:`~repro.mining.trie.CandidateTrie` or an
+    ``(E, L)`` matrix (row ``i`` of the result is row ``i``); ``t0`` is
+    the absolute index of ``db_seg[0]`` so the exit snapshot composes
+    with neighbouring segments without rebasing.  The trie DFS carries
+    each path's windowed frontier plus the per-depth frontier tails
+    that :func:`~repro.mining.counting._expiring_exit_row` turns into
+    the sweep's exit snapshot — bit-identical to
+    :func:`~repro.mining.counting.resume_expiring_batch` from the
+    all-``_NEG`` snapshot, without sweeping the segment per character.
+    Regime: every EXPIRING segment summary and chunk resume (the
+    sharded database axis, :func:`count_segmented`, the windowed stream
+    and :func:`repro.mining.trie.resume_positions_trie`).
     """
-    n_eps, length = matrix.shape
-    index = index if index is not None else DatabaseIndex(db_seg)
-    counts = np.zeros(n_eps, dtype=np.int64)
-    exit_times = np.full((n_eps, length + 1), _NEG, dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        ends, starts, tails = _expiring_chain_with_tails(
-            index, items, int(window)
-        )
-        counts[i], exit_times[i] = _expiring_exit_row(
-            length, tails, ends, starts, int(t0)
-        )
+    trie = as_candidate_trie(batch)
+    index = index if index is not None else DatabaseIndex(np.asarray(db_seg))
+    length = int(trie.matrix.shape[1])
+    counts = np.zeros(len(trie), dtype=np.int64)
+    exit_times = np.full((len(trie), length + 1), _NEG, dtype=np.int64)
+    stack: "list[tuple[int, np.ndarray, np.ndarray, tuple]]" = []
+    for symbol, child in reversed(trie.children_of(0)):
+        pos = index.positions(symbol)
+        stack.append((child, pos, pos, ()))
+    while stack:
+        node, ends, starts, tails = stack.pop()
+        for term in trie.terminals_of(node):
+            counts[term], exit_times[term] = _expiring_exit_row(
+                length, list(tails), ends, starts, int(t0)
+            )
+        children = trie.children_of(node)
+        if children:
+            tail = (int(ends[-1]), int(starts[-1])) if ends.size else None
+            child_tails = tails + (tail,)
+            for symbol, child in reversed(children):
+                child_ends, child_starts = _hop_positions(
+                    index, ends, starts, symbol, window
+                )
+                stack.append((child, child_ends, child_starts, child_tails))
     return ExpiringSummary(counts=counts, exit_times=exit_times)
 
 
@@ -438,7 +400,11 @@ def _expiring_fix(
     delta.  Early convergence returns immediately; a segment that never
     converges has simply been recounted exactly (``b`` then equals the
     pass-1 run, making the delta formula collapse to the true count).
-    Returns ``(counts, exit_times)``.
+    Returns ``(counts, exit_times)``.  Regime: the per-character
+    :func:`~repro.mining.counting._expiring_step` is kept here because
+    the convergence test needs both runs' full state after every
+    character, and a live entry typically dies within a few
+    window-lengths, so the lockstep stops long before the segment ends.
     """
     n_eps, length = matrix.shape
     mat = matrix.astype(np.int64)
@@ -533,18 +499,20 @@ def _count_segmented_two_pass(
     for j, ep in enumerate(episodes):
         groups.setdefault(ep.length, []).append(j)
     for length, idxs in groups.items():
-        matrix = episodes_to_matrix([episodes[j] for j in idxs])
+        trie = CandidateTrie.from_episodes([episodes[j] for j in idxs])
         if policy is MatchPolicy.SUBSEQUENCE:
             summaries = [
-                subsequence_segment_summary(db[lo:hi], matrix) for lo, hi in bounds
+                hop_subsequence_summary(db[lo:hi], trie) for lo, hi in bounds
             ]
             counts, _ = compose_subsequence(summaries, len(idxs))
         else:
             summaries = [
-                expiring_segment_summary(db[lo:hi], matrix, int(window), lo)
+                hop_expiring_summary(db[lo:hi], trie, int(window), lo)
                 for lo, hi in bounds
             ]
-            counts = compose_expiring(db, matrix, int(window), bounds, summaries)
+            counts = compose_expiring(
+                db, trie.matrix, int(window), bounds, summaries
+            )
         seg_counts[:, idxs] = counts
     boundary = np.zeros((max(0, len(bounds) - 1), len(episodes)), dtype=np.int64)
     return SegmentedCount(segment_counts=seg_counts, boundary_counts=boundary)

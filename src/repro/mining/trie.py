@@ -52,7 +52,6 @@ from repro.mining.counting import (
     DatabaseIndex,
     as_episode_matrix,
     db_fingerprint,
-    _expiring_exit_row,
     _hop_positions,
     _resume_subsequence_hopping,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "as_candidate_trie",
     "cached_count_batch",
     "count_positions_trie",
-    "expiring_summary_trie",
     "resume_positions_trie",
 ]
 
@@ -357,6 +355,11 @@ def count_positions_trie(
     gather per chain step.  The chains are the same latest-start jump
     chains :func:`repro.mining.counting._greedy_nonoverlap_count`
     resolves for one episode, so counts are bit-identical.
+
+    Regime: every SUBSEQUENCE/EXPIRING batch count outside the sweep's
+    corner (``auto`` sends it ``n >= SWEEP_MAX_N`` or
+    ``n >= SWEEP_CHARS_PER_EPISODE·E``); it was never slower than flat
+    per-episode chains on any probed shape, and up to 15x faster.
     """
     out = np.zeros(len(trie), dtype=np.int64)
     if len(trie) == 0:
@@ -408,11 +411,15 @@ def resume_positions_trie(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Batched position-hop chunk resume over a candidate trie.
 
-    The streaming advance analogue of :func:`count_positions_trie`:
-    episodes sharing a prefix share one position-list hop chain while
+    Episodes sharing a prefix share one position-list hop chain while
     each episode's carried state is advanced through the new segment.
-    Returns ``(counts, exit_state)``, positionally aligned with the
-    trie (index stability):
+    Regime: every SUBSEQUENCE/EXPIRING resume from a carried state —
+    streaming chunk advance and promotion backfill
+    (:mod:`repro.streaming.store`) and the windowed stream's partial
+    front segment; interpreter work is O(trie nodes + E·(L + log m)),
+    independent of segment length, which is what lets a chunk advance
+    beat recounting.  Returns ``(counts, exit_state)``, positionally
+    aligned with the trie (index stability):
 
     * ``SUBSEQUENCE`` — ``state`` is the ``(E,)`` entry-state vector;
       bit-identical to :func:`~repro.mining.counting.
@@ -420,14 +427,14 @@ def resume_positions_trie(
       taken from the shared DFS frontiers.
     * ``EXPIRING`` — ``state`` is the ``(E, L+1)`` absolute timestamp
       snapshot; the trie walk produces the empty-entry summary
-      (:func:`expiring_summary_trie`) and the carried snapshot
-      composes through :func:`repro.mining.spanning.advance_expiring`
-      (O(1) for dead entries, bounded lockstep for live ones).
+      (:func:`repro.mining.spanning.hop_expiring_summary`) and the
+      carried snapshot composes through
+      :func:`repro.mining.spanning.advance_expiring` (O(1) for dead
+      entries, bounded lockstep for live ones).
 
     ``RESET`` is rejected: contiguous occurrences resume by boundary
     replay (:func:`repro.mining.spanning.count_starts_in`), not by
-    state carry.  Engines expose this as
-    :meth:`repro.mining.engines.CountingEngine.resume_batch`.
+    state carry.
     """
     from repro.mining.policies import MatchPolicy
 
@@ -435,14 +442,14 @@ def resume_positions_trie(
     index = index if index is not None else DatabaseIndex(db)
     if policy is MatchPolicy.SUBSEQUENCE:
         entry = np.asarray(state, dtype=np.int64)
-        return _trie_subsequence_resume(index, trie, entry)
+        counts, exits = _trie_subsequence_resume(index, trie, entry[np.newaxis])
+        return counts[0], exits[0]
     if policy is MatchPolicy.EXPIRING:
-        from repro.mining.spanning import ExpiringSummary, advance_expiring
+        from repro.mining.spanning import advance_expiring, hop_expiring_summary
 
-        counts, exit_times = expiring_summary_trie(
+        summary = hop_expiring_summary(
             db, trie, int(window), int(t0), index=index  # type: ignore[arg-type]
         )
-        summary = ExpiringSummary(counts=counts, exit_times=exit_times)
         return advance_expiring(
             db,
             trie.matrix,
@@ -458,18 +465,24 @@ def resume_positions_trie(
 
 
 def _trie_subsequence_resume(
-    index: "DatabaseIndex", trie: CandidateTrie, entry: np.ndarray
+    index: "DatabaseIndex", trie: CandidateTrie, entries: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """SUBSEQUENCE resume sharing full-episode chains via the trie DFS.
+    """SUBSEQUENCE resume of a ``(k, E)`` block of entry states, sharing
+    full-episode chains via the trie DFS.
 
-    Subtrees with an empty frontier are still visited: an episode whose
-    full chain never completes can still make partial greedy progress
-    (phase 1 of :func:`repro.mining.counting.
+    Row ``r`` of the returned ``(counts, exits)`` (both ``(k, E)``) is
+    the segment entered in states ``entries[r]``.  Each terminal's chain
+    is reached once and serves all ``k`` rows:
+    :func:`resume_positions_trie` passes ``k = 1`` (the carried state),
+    :func:`repro.mining.spanning.hop_subsequence_summary` ``k = L``
+    (every entry state).  Subtrees with an empty frontier are still
+    visited: an episode whose full chain never completes can still make
+    partial greedy progress (phase 1 of :func:`repro.mining.counting.
     _resume_subsequence_hopping`), which the exit state must reflect.
     """
     matrix = trie.matrix
-    counts = np.zeros(len(trie), dtype=np.int64)
-    exits = np.zeros(len(trie), dtype=np.int64)
+    counts = np.zeros(entries.shape, dtype=np.int64)
+    exits = np.zeros(entries.shape, dtype=np.int64)
     stack: "list[tuple[int, np.ndarray, np.ndarray]]" = []
     for symbol, child in reversed(trie.children_of(0)):
         pos = index.positions(symbol)
@@ -478,60 +491,16 @@ def _trie_subsequence_resume(
         node, ends, starts = stack.pop()
         for term in trie.terminals_of(node):
             items = tuple(int(x) for x in matrix[term])
-            counts[term], exits[term] = _resume_subsequence_hopping(
-                index, items, int(entry[term]), (ends, starts)
-            )
+            for r in range(entries.shape[0]):
+                counts[r, term], exits[r, term] = _resume_subsequence_hopping(
+                    index, items, int(entries[r, term]), (ends, starts)
+                )
         for symbol, child in reversed(trie.children_of(node)):
             child_ends, child_starts = _hop_positions(
                 index, ends, starts, symbol, None
             )
             stack.append((child, child_ends, child_starts))
     return counts, exits
-
-
-def expiring_summary_trie(
-    db: np.ndarray,
-    trie: CandidateTrie,
-    window: int,
-    t0: int,
-    index: "DatabaseIndex | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Empty-entry EXPIRING summary ``(counts, exit_times)`` via the trie.
-
-    The trie-shared analogue of :func:`repro.mining.spanning.
-    hop_expiring_summary` (bit-identical to the per-character
-    ``expiring_segment_summary``): the DFS carries each path's
-    windowed frontier plus the per-depth frontier tails that
-    :func:`repro.mining.counting._expiring_exit_row` turns into the
-    sweep's exit snapshot.
-    """
-    from repro.mining.counting import _NEG
-
-    index = index if index is not None else DatabaseIndex(np.asarray(db))
-    matrix = trie.matrix
-    length = int(matrix.shape[1])
-    counts = np.zeros(len(trie), dtype=np.int64)
-    exit_times = np.full((len(trie), length + 1), _NEG, dtype=np.int64)
-    stack: "list[tuple[int, np.ndarray, np.ndarray, tuple]]" = []
-    for symbol, child in reversed(trie.children_of(0)):
-        pos = index.positions(symbol)
-        stack.append((child, pos, pos, ()))
-    while stack:
-        node, ends, starts, tails = stack.pop()
-        for term in trie.terminals_of(node):
-            counts[term], exit_times[term] = _expiring_exit_row(
-                length, list(tails), ends, starts, int(t0)
-            )
-        children = trie.children_of(node)
-        if children:
-            tail = (int(ends[-1]), int(starts[-1])) if ends.size else None
-            child_tails = tails + (tail,)
-            for symbol, child in reversed(children):
-                child_ends, child_starts = _hop_positions(
-                    index, ends, starts, symbol, window
-                )
-                stack.append((child, child_ends, child_starts, child_tails))
-    return counts, exit_times
 
 
 class _LeafBatch:

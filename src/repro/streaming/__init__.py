@@ -25,8 +25,8 @@ occurrence lists — built once, shared by every tracked level) lets each
 tracked episode advance its carried FSM state by searchsorted-hopping
 only the symbols it needs, batched across sibling episodes through the
 candidate trie so shared prefixes share hop chains
-(:func:`~repro.mining.trie.resume_positions_trie`, reached via the
-engine's ``resume_batch``).  RESET — whose occurrences never span more
+(:func:`~repro.mining.trie.resume_positions_trie`, the one resume
+path whatever the engine).  RESET — whose occurrences never span more
 than a chunk seam — instead engine-counts the chunk standalone (any
 :mod:`repro.mining.engines` REGISTRY engine, dispatching as in batch
 mining) and replays the boundary window
@@ -48,8 +48,9 @@ threshold).  ``retention=N`` bounds landmark memory to the trailing
 after the cap binds backfill exact *lower bounds* over the retained
 suffix.  ``mode="windowed"`` counts over the trailing ``horizon``
 events only, as an **exact decremental sliding window**: each
-window-resident chunk segment's behaviour is summarized once (cached
-per level), expired segments retire with their summaries, and every
+window-resident chunk segment's behaviour is summarized once by the
+trie-shared hop summaries of :mod:`repro.mining.spanning` (cached per
+level), expired segments retire with their summaries, and every
 update folds the cached summaries left-to-right — recounting afresh
 only the shrinking front partial segment and the new chunk, with
 updates that leave the window contents unchanged (size-0 chunks

@@ -53,7 +53,7 @@ from repro.mining.alphabet import Alphabet
 from repro.mining.candidates import generate_level, generate_next_level
 from repro.mining.counting import _NEG
 from repro.mining.engines import CountingEngine, get_engine
-from repro.mining.episode import Episode, episodes_to_matrix
+from repro.mining.episode import Episode
 from repro.mining.miner import LevelResult, MiningResult, eliminate_level
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.spanning import (
@@ -61,10 +61,14 @@ from repro.mining.spanning import (
     advance_subsequence,
     count_starts_in,
     hop_expiring_summary,
-    hop_subsequence_resume,
     hop_subsequence_summary,
 )
-from repro.mining.trie import CandidateTrie, CountCache, cached_count_batch
+from repro.mining.trie import (
+    CandidateTrie,
+    CountCache,
+    cached_count_batch,
+    resume_positions_trie,
+)
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -243,7 +247,6 @@ class StreamingMiner:
         self._store = EpisodeStateStore(
             alphabet.size, policy, window, max_level,
             self._count_with_engine,
-            resume_chunk=self._engine.resume_batch,
         )
         #: landmark mode: retained prefix (trailing `retention` events
         #: once the cap binds, the whole prefix otherwise)
@@ -562,9 +565,9 @@ class StreamingMiner:
     ) -> np.ndarray:
         """The store's counting hook: one engine dispatch, RESET policy.
 
-        (SUBSEQUENCE/EXPIRING chunk advance hop-resumes through the
-        engine's ``resume_batch`` — the engine count hook covers RESET
-        chunks and backfills.)  Dispatches through the
+        (SUBSEQUENCE/EXPIRING chunk advance hop-resumes through
+        :func:`~repro.mining.trie.resume_positions_trie` — the engine
+        count hook covers RESET chunks and backfills.)  Dispatches through the
         content-addressed count cache so promotion backfills over an
         unchanged retained prefix — an episode demoted and re-promoted,
         or overlapping retrack sets — dedupe to zero engine calls; keys
@@ -772,14 +775,20 @@ class StreamingMiner:
         :mod:`repro.mining.spanning` — bit-identical to counting the
         concatenated window (EXPIRING composes on the absolute event
         clock; counts only depend on index differences, so they equal
-        the batch count of the window buffer).
+        the batch count of the window buffer).  The level's candidate
+        trie is built once per cache entry and shared by every piece.
         """
         episodes = tuple(episodes)
-        matrix = episodes_to_matrix(list(episodes))
         cache = self._win_cache.get(level)
         if cache is None or cache["episodes"] != episodes:
-            cache = {"episodes": episodes, "summaries": {}}
+            cache = {
+                "episodes": episodes,
+                "trie": CandidateTrie.from_episodes(episodes),
+                "summaries": {},
+            }
             self._win_cache[level] = cache
+        trie = cache["trie"]
+        matrix = trie.matrix
         summaries = cache["summaries"]
         lo = self._window_lo()
         total = np.zeros(len(episodes), dtype=np.int64)
@@ -789,11 +798,13 @@ class StreamingMiner:
             state = np.zeros(len(episodes), dtype=np.int64)
             for seg, data, offset in self._window_pieces(lo):
                 if offset:
-                    inc, state = hop_subsequence_resume(data, matrix, state)
+                    inc, state = resume_positions_trie(
+                        data, trie, self.policy, None, state
+                    )
                 else:
                     summary = summaries.get(seg.sid)
                     if summary is None:
-                        summary = hop_subsequence_summary(seg.data, matrix)
+                        summary = hop_subsequence_summary(seg.data, trie)
                         summaries[seg.sid] = summary
                     inc, state = advance_subsequence(summary, state)
                 total += inc
@@ -805,11 +816,11 @@ class StreamingMiner:
         for seg, data, offset in self._window_pieces(lo):
             t0 = seg.start + offset
             if offset:
-                summary = hop_expiring_summary(data, matrix, w, t0)
+                summary = hop_expiring_summary(data, trie, w, t0)
             else:
                 summary = summaries.get(seg.sid)
                 if summary is None:
-                    summary = hop_expiring_summary(seg.data, matrix, w, t0)
+                    summary = hop_expiring_summary(seg.data, trie, w, t0)
                     summaries[seg.sid] = summary
             inc, times = advance_expiring(data, matrix, w, times, t0, summary)
             total += inc

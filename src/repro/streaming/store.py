@@ -25,17 +25,17 @@ database and advanced with the segment/state-carry machinery of
   advanced by searchsorted-hopping only the symbols that episode
   needs, batched across sibling episodes through the candidate trie so
   shared prefixes share hop chains
-  (:func:`~repro.mining.trie.resume_positions_trie`, dispatched
-  through the engine's ``resume_batch``).  Interpreter work per chunk
-  is proportional to tracked trie nodes, not chunk length — the fix
-  for the schema-5 bench regression where per-character segment
-  summaries lost to naive recount.
+  (:func:`~repro.mining.trie.resume_positions_trie`, the one resume
+  path for every engine).  Interpreter work per chunk is proportional
+  to tracked trie nodes, not chunk length — the fix for the schema-5
+  bench regression where per-character segment summaries lost to
+  naive recount.
 
 Tracking is mutable: :meth:`EpisodeStateStore.retrack` promotes newly
 needed candidates (backfilling count and entry state over the retained
-prefix with the resumable sweeps of :mod:`repro.mining.counting`) and
-demotes candidates no longer generated, preserving the carried state of
-every episode that stays tracked.  Under bounded retention the caller
+prefix by the same hop resume, from the empty state) and demotes
+candidates no longer generated, preserving the carried state of every
+episode that stays tracked.  Under bounded retention the caller
 may pass a *suffix* of the stream as backfill history
 (``history_start > 0``); promoted counts are then exact lower bounds
 (see :meth:`EpisodeStateStore.retrack`).
@@ -106,13 +106,10 @@ class EpisodeStateStore:
         standalone chunk and backfill counting under RESET — the hook
         through which the configured counting engine (any REGISTRY
         engine) does the chunk's pass-1 work.
-    resume_chunk:
-        ``(db, trie, policy, window, state, t0, index) -> (counts,
-        exit_state)`` callable advancing carried SUBSEQUENCE/EXPIRING
-        state through one chunk.  Defaults to
-        :func:`repro.mining.trie.resume_positions_trie`; the miner
-        passes the engine's ``resume_batch`` so dispatch stays an
-        engine concern.
+
+    SUBSEQUENCE/EXPIRING state advances through
+    :func:`repro.mining.trie.resume_positions_trie`, looked up by name
+    in this module at call time.
     """
 
     def __init__(
@@ -122,7 +119,6 @@ class EpisodeStateStore:
         window: "int | None",
         max_length: int,
         count_chunk: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
-        resume_chunk: "Callable[..., tuple[np.ndarray, np.ndarray]] | None" = None,
     ) -> None:
         validate_window(policy, window)
         if max_length < 1:
@@ -134,9 +130,6 @@ class EpisodeStateStore:
         self.window = window
         self.max_length = max_length
         self._count_chunk = count_chunk
-        self._resume_chunk = (
-            resume_chunk if resume_chunk is not None else resume_positions_trie
-        )
         self.levels: "dict[int, TrackedLevel]" = {}
         #: absolute index of the next arriving event
         self.events = 0
@@ -176,12 +169,12 @@ class EpisodeStateStore:
             if self.policy is MatchPolicy.RESET:
                 inc = self._advance_reset(lvl, chunk)
             elif self.policy is MatchPolicy.SUBSEQUENCE:
-                inc, lvl.sub_states = self._resume_chunk(
+                inc, lvl.sub_states = resume_positions_trie(
                     chunk, lvl.trie, self.policy, None, lvl.sub_states,
                     t0=t0, index=index,
                 )
             else:
-                inc, lvl.exp_times = self._resume_chunk(
+                inc, lvl.exp_times = resume_positions_trie(
                     chunk, lvl.trie, self.policy, int(self.window),
                     lvl.exp_times, t0=t0, index=index,
                 )
@@ -236,7 +229,7 @@ class EpisodeStateStore:
         With ``history_start == 0`` backfill is exact.  With a
         positive start (bounded landmark retention) promoted counts
         are exact *lower bounds*: occurrences lying wholly before
-        ``history_start`` are unseen, and the resumable sweeps start
+        ``history_start`` are unseen, and the hop resume starts
         from the empty state at the suffix boundary (EXPIRING resumes
         with ``t0 = history_start`` so carried timestamps stay on the
         absolute clock).  Returns ``(promoted, demoted)``.
@@ -395,7 +388,7 @@ class EpisodeStateStore:
             return counts, None
         trie = CandidateTrie.from_matrix(matrix)
         if self.policy is MatchPolicy.SUBSEQUENCE:
-            return self._resume_chunk(
+            return resume_positions_trie(
                 history, trie, self.policy, None,
                 np.zeros(matrix.shape[0], dtype=np.int64),
                 t0=int(history_start), index=None,
@@ -403,7 +396,7 @@ class EpisodeStateStore:
         times = np.full(
             (matrix.shape[0], matrix.shape[1] + 1), _NEG, dtype=np.int64
         )
-        return self._resume_chunk(
+        return resume_positions_trie(
             history, trie, self.policy, int(self.window), times,
             t0=int(history_start), index=None,
         )

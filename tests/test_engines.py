@@ -974,3 +974,34 @@ class TestShardedMapperInProcess:
         ref = count_matrix_reference(db, matrix, policy, window)
         assert result.key == "k"
         assert np.array_equal(result.value, ref)
+
+    @pytest.mark.parametrize("policy,window", POLICIES[1:])
+    def test_summary_shards_compose_exactly(self, monkeypatch, policy, window):
+        """The database-axis carry's ``summary`` payloads, mapped in
+        this process and composed, equal the oracle (rows deliberately
+        out of trie order, one duplicated)."""
+        from repro.mapreduce.combiner import group_by_key
+        from repro.mining.engines import _sharded_mapper
+
+        # fewer episodes than workers: the database axis
+        engine = ShardedEngine(inner="position-hop", workers=4,
+                               min_shard_work=0)
+        shipped = []
+
+        def in_process(job, pool, owned):
+            shipped.extend(kv.value for kv in job.inputs)
+            mapped = [out for kv in job.inputs for out in job.mapper(kv)]
+            return {key: job.reducer(key, values)
+                    for key, values in group_by_key(mapped).items()}
+
+        monkeypatch.setattr(engine, "_acquire_run_pool",
+                            lambda: (object(), False))
+        monkeypatch.setattr(engine, "_run_supervised", in_process)
+        db = np.random.default_rng(23).integers(0, 4, 400).astype(np.uint8)
+        matrix = np.array([[3, 2, 1], [0, 1, 2], [3, 2, 1]], dtype=np.uint8)
+        counts = engine.count(db, matrix, 4, policy, window)
+        assert [p["kind"] for p in shipped] == ["summary"] * 4
+        assert [p["t0"] for p in shipped] == [0, 100, 200, 300]
+        assert np.array_equal(
+            counts, count_matrix_reference(db, matrix, policy, window)
+        )

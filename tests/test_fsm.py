@@ -1,16 +1,12 @@
 """Tests for the episode FSM (paper Fig. 3) under all policies."""
 
-import pickle
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.mining.alphabet import UPPERCASE
 from repro.mining.episode import Episode
-from repro.mining.fsm import EpisodeFSM, FSMSnapshot, build_transition_table
+from repro.mining.fsm import EpisodeFSM, build_transition_table
 from repro.mining.policies import MatchPolicy, validate_window
 
 
@@ -170,69 +166,3 @@ class TestFsmStateManagement:
         fsm.reset()
         assert fsm.state == 0
         assert fsm.count == 0
-
-
-class TestSnapshotResume:
-    """The serializable snapshot/resume API behind segmented state carry:
-    a run split at any index and resumed must equal the unsplit run."""
-
-    POLICIES = [
-        (MatchPolicy.RESET, None),
-        (MatchPolicy.SUBSEQUENCE, None),
-        (MatchPolicy.EXPIRING, 3),
-    ]
-
-    @given(data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_split_run_equals_whole_run(self, data):
-        n_sym = data.draw(st.integers(3, 6))
-        db = np.array(
-            data.draw(st.lists(st.integers(0, n_sym - 1), max_size=120)),
-            dtype=np.uint8,
-        )
-        items = data.draw(
-            st.lists(st.integers(0, n_sym - 1), min_size=1, max_size=3,
-                     unique=True)
-        )
-        split = data.draw(st.integers(0, max(0, int(db.size))))
-        ep = Episode(tuple(items))
-        for policy, window in self.POLICIES:
-            whole = EpisodeFSM(ep, n_sym, policy, window).run(db)
-            first = EpisodeFSM(ep, n_sym, policy, window)
-            for t in range(split):
-                first.step(int(db[t]), t)
-            # resume in a *fresh* FSM from the pickled snapshot — the
-            # cross-process shape the sharded decomposition relies on
-            snap = pickle.loads(pickle.dumps(first.snapshot()))
-            second = EpisodeFSM(ep, n_sym, policy, window).restore(snap)
-            for t in range(split, int(db.size)):
-                second.step(int(db[t]), t)
-            assert second.count == whole, (policy, split)
-
-    def test_snapshot_is_plain_data(self):
-        fsm = EpisodeFSM(Episode((0, 1)), 4, MatchPolicy.EXPIRING, window=2)
-        for t, c in enumerate([0, 1, 0]):
-            fsm.step(c, t)
-        snap = fsm.snapshot()
-        assert isinstance(snap, FSMSnapshot)
-        assert isinstance(snap.times, tuple)
-        assert snap.count == 1
-
-    def test_snapshot_does_not_alias_fsm_state(self):
-        """Stepping after a snapshot must not mutate the snapshot."""
-        fsm = EpisodeFSM(Episode((0, 1)), 4, MatchPolicy.EXPIRING, window=5)
-        fsm.step(0, 0)
-        snap = fsm.snapshot()
-        before = snap.times
-        fsm.step(1, 1)
-        assert snap.times == before
-
-    def test_restore_before_any_step(self):
-        """A fresh snapshot restores to a fresh FSM (times lazily built)."""
-        fresh = EpisodeFSM(Episode((0, 1)), 4, MatchPolicy.EXPIRING, window=2)
-        snap = fresh.snapshot()
-        assert snap.times is None
-        resumed = EpisodeFSM(
-            Episode((0, 1)), 4, MatchPolicy.EXPIRING, window=2
-        ).restore(snap)
-        assert resumed.run(np.array([0, 1], dtype=np.uint8)) == 1

@@ -9,8 +9,10 @@ from repro.errors import ValidationError
 from repro.mining.alphabet import Alphabet, UPPERCASE
 from repro.mining.candidates import generate_level
 from repro.mining.counting import (
+    _NEG,
     count_batch,
     count_batch_reference,
+    resume_expiring_batch,
     resume_subsequence_batch,
 )
 from repro.mining.episode import Episode
@@ -19,13 +21,11 @@ from repro.mining.spanning import (
     compose_expiring,
     compose_subsequence,
     count_segmented,
-    expiring_segment_summary,
     hop_expiring_summary,
-    hop_subsequence_resume,
     hop_subsequence_summary,
     segment_bounds,
-    subsequence_segment_summary,
 )
+from repro.mining.trie import CandidateTrie, resume_positions_trie
 
 
 class TestSegmentBounds:
@@ -222,7 +222,7 @@ class TestTwoPassCarry:
         matrix = np.array([[0, 1, 2], [3, 2, 1]], dtype=np.uint8)
         bounds = segment_bounds(db.size, 9)
         summaries = [
-            subsequence_segment_summary(db[lo:hi], matrix) for lo, hi in bounds
+            hop_subsequence_summary(db[lo:hi], matrix) for lo, hi in bounds
         ]
         seg_counts, exit_states = compose_subsequence(summaries, 2)
         from repro.mining.counting import count_matrix_reference
@@ -237,7 +237,7 @@ class TestTwoPassCarry:
         matrix = np.array([[0, 1, 2], [3, 2, 1]], dtype=np.uint8)
         bounds = segment_bounds(db.size, 9)
         summaries = [
-            expiring_segment_summary(db[lo:hi], matrix, 3, lo)
+            hop_expiring_summary(db[lo:hi], matrix, 3, lo)
             for lo, hi in bounds
         ]
         seg_counts = compose_expiring(db, matrix, 3, bounds, summaries)
@@ -309,10 +309,29 @@ def _hop_case(data, n):
     return db, matrix
 
 
+def _sweep_subsequence_table(db, matrix):
+    """The full SUBSEQUENCE entry table from the vector sweep: all L
+    entry states tiled into one ``E*L``-lane resume, reshaped to
+    ``(L, E)``."""
+    n_eps, length = matrix.shape
+    entry = np.repeat(np.arange(length, dtype=np.int64), n_eps)
+    counts, exits = resume_subsequence_batch(
+        db, np.tile(matrix, (length, 1)), entry
+    )
+    return counts.reshape(length, n_eps), exits.reshape(length, n_eps)
+
+
+def _sweep_expiring_summary(db, matrix, window, t0):
+    """The EXPIRING vector sweep from the empty (all-``_NEG``) state."""
+    times = np.full((matrix.shape[0], matrix.shape[1] + 1), _NEG,
+                    dtype=np.int64)
+    return resume_expiring_batch(db, matrix, window, times, t0)
+
+
 class TestPositionHopParity:
-    """The position-hop resume primitives (PR 9's streaming chunk
-    advance) are bit-identical to the per-character sweeps they
-    replace — counts AND carried exit state, for any entry state."""
+    """The trie-shared position-hop resume and summaries are
+    bit-identical to the per-character vector sweeps — counts AND
+    carried exit state, for any entry state."""
 
     @given(data=st.data(), n=st.integers(3, 6))
     @settings(max_examples=50, deadline=None)
@@ -329,7 +348,10 @@ class TestPositionHopParity:
             dtype=np.int64,
         )
         ref_counts, ref_exits = resume_subsequence_batch(db, matrix, entry)
-        counts, exits = hop_subsequence_resume(db, matrix, entry)
+        counts, exits = resume_positions_trie(
+            db, CandidateTrie.from_matrix(matrix), MatchPolicy.SUBSEQUENCE,
+            None, entry,
+        )
         np.testing.assert_array_equal(counts, ref_counts)
         np.testing.assert_array_equal(exits, ref_exits)
 
@@ -337,10 +359,10 @@ class TestPositionHopParity:
     @settings(max_examples=40, deadline=None)
     def test_hop_summary_matches_subsequence_sweep(self, data, n):
         db, matrix = _hop_case(data, n)
-        ref = subsequence_segment_summary(db, matrix)
+        ref_counts, ref_exits = _sweep_subsequence_table(db, matrix)
         hop = hop_subsequence_summary(db, matrix)
-        np.testing.assert_array_equal(hop.counts, ref.counts)
-        np.testing.assert_array_equal(hop.exits, ref.exits)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exits, ref_exits)
 
     @given(data=st.data(), n=st.integers(3, 6))
     @settings(max_examples=40, deadline=None)
@@ -348,10 +370,10 @@ class TestPositionHopParity:
         db, matrix = _hop_case(data, n)
         window = data.draw(st.integers(1, 6))
         t0 = data.draw(st.integers(0, 50))
-        ref = expiring_segment_summary(db, matrix, window, t0)
+        ref_counts, ref_times = _sweep_expiring_summary(db, matrix, window, t0)
         hop = hop_expiring_summary(db, matrix, window, t0)
-        np.testing.assert_array_equal(hop.counts, ref.counts)
-        np.testing.assert_array_equal(hop.exit_times, ref.exit_times)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exit_times, ref_times)
 
     @given(data=st.data(), n=st.integers(3, 6))
     @settings(max_examples=40, deadline=None)
@@ -360,13 +382,40 @@ class TestPositionHopParity:
         count: segment 1 from the zero state, segment 2 resumed from
         segment 1's exits."""
         db, matrix = _hop_case(data, n)
+        trie = CandidateTrie.from_matrix(matrix)
         cut = data.draw(st.integers(0, db.size))
         first, rest = db[:cut], db[cut:]
-        c1, exits = hop_subsequence_resume(
-            first, matrix, np.zeros(matrix.shape[0], dtype=np.int64)
+        c1, exits = resume_positions_trie(
+            first, trie, MatchPolicy.SUBSEQUENCE, None,
+            np.zeros(matrix.shape[0], dtype=np.int64),
         )
-        c2, _ = hop_subsequence_resume(rest, matrix, exits)
+        c2, _ = resume_positions_trie(
+            rest, trie, MatchPolicy.SUBSEQUENCE, None, exits
+        )
         whole, _ = resume_subsequence_batch(
             db, matrix, np.zeros(matrix.shape[0], dtype=np.int64)
         )
         np.testing.assert_array_equal(c1 + c2, whole)
+
+    #: rows in descending order with a duplicate and a repeated symbol,
+    #: so trie (ascending-symbol) order differs from row order
+    OFF_ORDER = np.array(
+        [[3, 2, 1], [0, 1, 2], [3, 2, 1], [2, 2, 0], [1, 3, 0]],
+        dtype=np.uint8,
+    )
+
+    def test_subsequence_summary_slot_i_is_row_i(self):
+        db = np.random.default_rng(53).integers(0, 4, 300).astype(np.uint8)
+        ref_counts, ref_exits = _sweep_subsequence_table(db, self.OFF_ORDER)
+        hop = hop_subsequence_summary(db, self.OFF_ORDER)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exits, ref_exits)
+
+    def test_expiring_summary_slot_i_is_row_i(self):
+        db = np.random.default_rng(59).integers(0, 4, 300).astype(np.uint8)
+        ref_counts, ref_times = _sweep_expiring_summary(
+            db, self.OFF_ORDER, 4, 31
+        )
+        hop = hop_expiring_summary(db, self.OFF_ORDER, 4, 31)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exit_times, ref_times)

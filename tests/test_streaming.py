@@ -556,6 +556,34 @@ class TestStateStore:
         promoted, demoted = store.retrack(1, eps, explode)
         assert promoted == demoted == ()
 
+    @pytest.mark.parametrize("policy,window", POLICIES[1:])
+    def test_advance_and_backfill_share_the_module_resume(
+        self, monkeypatch, policy, window
+    ):
+        """Chunk advance and promotion backfill both reach the one hop
+        resume path through the store module's name at call time, so a
+        wrapper installed after the store was built sees every call."""
+        import repro.streaming.store as store_module
+        from repro.mining.counting import count_batch_reference
+
+        store = self.make_store(policy, window)
+        real = store_module.resume_positions_trie
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "resume_positions_trie", spy)
+        db = np.array([0, 1, 2, 0, 3, 1, 0, 1, 2, 1], dtype=np.uint8)
+        eps = [Episode((0, 1)), Episode((2, 1))]
+        store.retrack(2, eps[:1], db[:0])  # backfill over empty history
+        store.advance(db)
+        store.retrack(2, eps, db)  # promotes (2, 1): backfill over db
+        assert calls == [policy] * 3
+        ref = count_batch_reference(db, eps, 4, policy, window)
+        assert np.array_equal(store.levels[2].counts, ref)
+
 
 class TestStreamSources:
     def test_array_source_chunks_and_remainder(self):

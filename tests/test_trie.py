@@ -466,14 +466,17 @@ class TestResumePositionsTrie:
                 total += inc
             np.testing.assert_array_equal(total, ref)
 
-    def test_expiring_summary_trie_matches_hop_summary(self):
+    def test_expiring_summary_matches_sweep(self):
+        from repro.mining.counting import _NEG, resume_expiring_batch
         from repro.mining.spanning import hop_expiring_summary
-        from repro.mining.trie import expiring_summary_trie
 
         eps = generate_level(ALPHA, 2)
         trie = CandidateTrie.from_episodes(eps)
         db = self._db(47)
-        ref = hop_expiring_summary(db, trie.matrix, 3, t0=17)
-        counts, exit_times = expiring_summary_trie(db, trie, 3, t0=17)
-        np.testing.assert_array_equal(counts, ref.counts)
-        np.testing.assert_array_equal(exit_times, ref.exit_times)
+        empty = np.full((len(eps), 3), _NEG, dtype=np.int64)
+        ref_counts, ref_times = resume_expiring_batch(
+            db, trie.matrix, 3, empty, t0=17
+        )
+        hop = hop_expiring_summary(db, trie, 3, t0=17)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exit_times, ref_times)
