@@ -328,11 +328,54 @@ def _degradation_line(ev) -> str:
             f"attempt {ev.attempt}: {ev.detail}")
 
 
+def _build_engine(args: argparse.Namespace, card: "str | None" = None):
+    """``(name, engine)`` for the ``--engine``/``--workers``/
+    ``--min-shard-work`` flags of ``mine`` and ``stream``.
+
+    ``gpu`` aliases ``gpu-sim``, built on ``card`` when one is given.
+    ``--workers`` (or ``--engine sharded``, which shards over ``auto``)
+    wraps the engine in a :class:`~repro.mining.engines.ShardedEngine`;
+    ``--min-shard-work`` without either is refused.  Every bad flag
+    raises :class:`~repro.errors.ConfigError` before any data is built.
+    """
+    from repro.errors import ConfigError
+    from repro.gpu.specs import get_card
+    from repro.mining.engines import (
+        GpuSimEngine,
+        ShardedEngine,
+        get_engine,
+        list_engines,
+    )
+
+    name = "gpu-sim" if args.engine == "gpu" else args.engine
+    if name not in list_engines():
+        raise ConfigError(
+            f"unknown engine {args.engine!r}; expected 'gpu' or one of "
+            f"{', '.join(list_engines())}"
+        )
+    sharded = name == "sharded" or args.workers is not None
+    if args.min_shard_work is not None and not sharded:
+        raise ConfigError(
+            "--min-shard-work requires --workers or --engine sharded"
+        )
+    inner = "auto" if name == "sharded" else name
+    if inner == "gpu-sim" and card is not None:
+        engine = GpuSimEngine(device=get_card(card))
+    else:
+        engine = get_engine(inner)
+    if sharded:
+        # unset flags are None, the constructor's defaults; ConfigError
+        # on bad values
+        engine = ShardedEngine(inner=engine, workers=args.workers,
+                               min_shard_work=args.min_shard_work)
+    return name, engine
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError
     from repro.obs import clock
     from repro.mining.alphabet import Alphabet
-    from repro.mining.engines import ShardedEngine, get_engine, list_engines
+    from repro.mining.engines import ShardedEngine
     from repro.mining.policies import MatchPolicy, validate_window
     from repro.streaming import (
         FileStreamSource,
@@ -340,29 +383,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         SyntheticStreamSource,
     )
 
-    engine_name = "gpu-sim" if args.engine == "gpu" else args.engine
-    if engine_name not in list_engines():
-        raise ConfigError(
-            f"unknown engine {args.engine!r}; expected 'gpu' or one of "
-            f"{', '.join(list_engines())}"
-        )
+    engine_name, engine = _build_engine(args)
     policy = MatchPolicy(args.policy)
     validate_window(policy, args.window)
-    if args.min_shard_work is not None and not (
-        args.workers is not None or engine_name == "sharded"
-    ):
-        raise ConfigError(
-            "--min-shard-work requires --workers or --engine sharded"
-        )
-    engine = get_engine(engine_name)
-    if args.workers is not None or engine_name == "sharded":
-        shard_kwargs = {}
-        if args.workers is not None:
-            shard_kwargs["workers"] = args.workers
-        if args.min_shard_work is not None:
-            shard_kwargs["min_shard_work"] = args.min_shard_work
-        inner = "auto" if engine_name == "sharded" else engine
-        engine = ShardedEngine(inner=inner, **shard_kwargs)
     alphabet = Alphabet.of_size(args.alphabet_size)
     if args.input is not None:
         # fail fast on synthetic-only flags rather than silently
@@ -499,55 +522,24 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     from repro.data.market import MarketConfig, generate_market_stream
-    from repro.errors import ConfigError
     from repro.obs import clock
-    from repro.gpu.specs import get_card
-    from repro.mining.engines import (
-        GpuSimEngine,
-        ShardedEngine,
-        get_engine,
-        list_engines,
-    )
+    from repro.mining.engines import GpuSimEngine, ShardedEngine
     from repro.mining.miner import FrequentEpisodeMiner
     from repro.mining.policies import MatchPolicy, validate_window
 
-    # validate engine, policy, window, and sharding before the (possibly
+    # validate engine, sharding, policy, and window before the (possibly
     # multi-million event) stream is built
-    engine_name = "gpu-sim" if args.engine == "gpu" else args.engine
-    if engine_name not in list_engines():
-        raise ConfigError(
-            f"unknown engine {args.engine!r}; expected 'gpu' or one of "
-            f"{', '.join(list_engines())}"
-        )
+    engine_name, engine = _build_engine(args, card=args.card)
     policy = MatchPolicy(args.policy)
     validate_window(policy, args.window)
-    sharded = engine_name == "sharded" or args.workers is not None
-    if args.min_shard_work is not None and not sharded:
-        raise ConfigError(
-            "--min-shard-work requires --workers or --engine sharded"
+    if engine_name == "gpu-sim" and isinstance(engine, ShardedEngine):
+        # workers re-resolve gpu-sim by name on the default card, so
+        # per-card kernel-time reporting is lost; counts stay exact
+        print(
+            "note: --workers shards the simulated-GPU engine across "
+            "host processes; simulated kernel time is not reported "
+            "and --card only affects unsharded calls"
         )
-    if engine_name == "gpu-sim":
-        # same registry engine the name resolves to, carded per --card
-        engine = GpuSimEngine(device=get_card(args.card))
-    else:
-        engine = get_engine(engine_name)
-    if sharded:
-        shard_kwargs = {}
-        if args.workers is not None:
-            shard_kwargs["workers"] = args.workers
-        if args.min_shard_work is not None:
-            shard_kwargs["min_shard_work"] = args.min_shard_work
-        inner = "auto" if engine_name == "sharded" else engine
-        # ConfigError on bad values
-        engine = ShardedEngine(inner=inner, **shard_kwargs)
-        if engine_name == "gpu-sim":
-            # workers re-resolve gpu-sim by name on the default card, so
-            # per-card kernel-time reporting is lost; counts stay exact
-            print(
-                "note: --workers shards the simulated-GPU engine across "
-                "host processes; simulated kernel time is not reported "
-                "and --card only affects unsharded calls"
-            )
     config = MarketConfig(
         n_products=12,
         n_events=args.events,

@@ -456,37 +456,61 @@ def _chain_positions(
     return reach, starts
 
 
-def _walk_jump_chain(
-    ends: np.ndarray, starts: np.ndarray, first: int
-) -> tuple[int, int]:
-    """Walk the greedy completion chain starting at completion ``first``.
+def _jump_tables(ends: np.ndarray, starts: np.ndarray) -> "list[np.ndarray]":
+    """Binary-lifting tables of the greedy completion chain.
 
     ``jump[i] = first k with starts[k] > ends[i]`` is the next greedy
     non-overlapped completion after completion ``i`` (``starts`` is
     non-decreasing, so the set of chains lying wholly after ``ends[i]``
-    is a suffix of indices).  Returns ``(count, last)`` — the number of
-    completions on the chain ``first -> jump[first] -> ...`` and the
-    index of the final one — resolved with O(log m) vectorized
-    binary-lifting rounds instead of a per-occurrence loop.
-    ``first >= m`` means no completion remains: ``(0, -1)``.
+    is a suffix of indices).  Table ``j`` maps a completion ``2**j``
+    steps along that chain, with ``m`` an absorbing sentinel.
     """
     m = int(ends.size)
-    if first >= m:
-        return 0, -1
     jump = np.searchsorted(starts, ends, side="right")
-    table = np.append(jump, m).astype(np.int64)  # sentinel: m maps to m
-    tables = [table]
+    tables = [np.append(jump, m).astype(np.int64)]
     while (1 << len(tables)) < m:
         prev = tables[-1]
         tables.append(prev[prev])
-    count = 1
-    cur = int(first)
-    for k in range(len(tables) - 1, -1, -1):
-        nxt = int(tables[k][cur])
-        if nxt < m:
-            count += 1 << k
-            cur = nxt
-    return count, cur
+    return tables
+
+
+class _JumpChain:
+    """One episode's full completion frontier ``(ends, starts)`` (see
+    :func:`_chain_positions`) and its greedy jump chain.
+
+    :meth:`walk` resolves a chain in O(log m) vectorized binary-lifting
+    rounds instead of a per-occurrence loop.  The tables are built by
+    the first walk that starts inside the frontier and reused by every
+    later one, so the ``L`` entry-state resumes of one terminal
+    (:func:`repro.mining.trie._trie_subsequence_resume`) pay one build,
+    and resumes whose carried partial never completes pay none.
+    """
+
+    __slots__ = ("ends", "starts", "_tables")
+
+    def __init__(self, ends: np.ndarray, starts: np.ndarray) -> None:
+        self.ends = ends
+        self.starts = starts
+        self._tables: "list[np.ndarray] | None" = None
+
+    def walk(self, first: int) -> tuple[int, int]:
+        """``(count, last)``: the number of completions on the chain
+        ``first -> jump[first] -> ...`` and the index of the final one;
+        ``(0, -1)`` when ``first >= m`` (no completion remains)."""
+        m = int(self.ends.size)
+        if first >= m:
+            return 0, -1
+        if self._tables is None:
+            self._tables = _jump_tables(self.ends, self.starts)
+        tables = self._tables
+        count = 1
+        cur = int(first)
+        for k in range(len(tables) - 1, -1, -1):
+            nxt = int(tables[k][cur])
+            if nxt < m:
+                count += 1 << k
+                cur = nxt
+        return count, cur
 
 
 def _greedy_nonoverlap_count(ends: np.ndarray, starts: np.ndarray) -> int:
@@ -495,9 +519,9 @@ def _greedy_nonoverlap_count(ends: np.ndarray, starts: np.ndarray) -> int:
     The scalar FSMs count by taking the earliest completion whose whole
     chain lies after the previous completion; index 0 is always the
     first completion (starts >= 0), and the rest follow the
-    :func:`_walk_jump_chain` pointer chain.
+    :class:`_JumpChain` pointer chain.
     """
-    count, _ = _walk_jump_chain(ends, starts, 0)
+    count, _ = _JumpChain(ends, starts).walk(0)
     return count
 
 
@@ -532,7 +556,7 @@ def _resume_subsequence_hopping(
     index: DatabaseIndex,
     items: "tuple[int, ...]",
     state: int,
-    chain: "tuple[np.ndarray, np.ndarray]",
+    chain: _JumpChain,
 ) -> tuple[int, int]:
     """``(count, exit_state)`` of the greedy SUBSEQUENCE FSM resumed in
     ``state`` over the indexed database segment.
@@ -543,9 +567,9 @@ def _resume_subsequence_hopping(
     1. the carried partial completes greedily (``items[state:]`` hopped
        to earliest occurrences — the FSM's exact advance rule);
     2. every later completion follows the full-episode jump chain
-       (:func:`_walk_jump_chain` over ``chain``, the precomputed
-       :func:`_chain_positions` of the whole episode — shared across a
-       trie subtree by :func:`repro.mining.trie.resume_positions_trie`);
+       (``chain``, over the precomputed :func:`_chain_positions` of the
+       whole episode — shared across a trie node's terminals and entry
+       states by :func:`repro.mining.trie._trie_subsequence_resume`);
     3. the exit state is the greedy partial progress strictly after the
        final completion (it can never re-complete — a full chain there
        would itself have been on the jump chain).
@@ -554,10 +578,9 @@ def _resume_subsequence_hopping(
     matched, p1 = _hop_partial_match(index, items[state:], -1)
     if state + matched < length:
         return 0, state + matched
-    ends, starts = chain
-    k = int(np.searchsorted(starts, p1, side="right"))
-    extra, last = _walk_jump_chain(ends, starts, k)
-    q = int(ends[last]) if extra else p1
+    k = int(np.searchsorted(chain.starts, p1, side="right"))
+    extra, last = chain.walk(k)
+    q = int(chain.ends[last]) if extra else p1
     exit_state, _ = _hop_partial_match(index, items, q)
     return 1 + extra, exit_state
 
@@ -583,7 +606,7 @@ def _expiring_exit_row(
     at a sweep exit (column 0 is never written; column L is wiped at
     the completion that wrote it).
     """
-    count, last = _walk_jump_chain(ends, starts, 0)
+    count, last = _JumpChain(ends, starts).walk(0)
     q = int(ends[last]) if count else -1
     row = np.full(length + 1, _NEG, dtype=np.int64)
     for s in range(1, length):

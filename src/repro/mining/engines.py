@@ -21,8 +21,9 @@ it in an :class:`EngineRegistry`, and layers composition on top:
   problem shape.  Functionally exact like every other tier; uniquely,
   it also records a per-launch :class:`~repro.gpu.report.TimingReport`
   so drivers can report the simulated kernel time the paper measures.
-* ``sharded`` — a wrapper that decomposes one counting call across
-  ``multiprocessing`` workers through the MapReduce framework.  RESET
+* ``sharded`` — a wrapper that decomposes one counting call into shard
+  payloads, maps them on supervised ``multiprocessing`` workers and
+  combines the results (the paper's map -> span fix -> reduce).  RESET
   batches split along the *database* axis using the segment/boundary
   decomposition of :mod:`repro.mining.spanning` (Fig. 5's span fix).
   SUBSEQUENCE/EXPIRING batches split along the *episode* axis when the
@@ -46,9 +47,9 @@ instead of spawning workers per call, and pooled workers keep a
 so episode-axis chunks stop re-deriving position lists every call.
 :class:`~repro.mining.miner.FrequentEpisodeMiner`,
 :class:`~repro.mining.pipeline.PipelinedMiner`, and the CLI all enter
-the engine scope around the level loop.  Counting
-*outside* a scope stays correct and keeps the historical
-pool-per-call behaviour.
+the engine scope around the level loop.  A sharded ``count`` made
+*outside* a scope opens its own one-call scope: correct and
+supervised, but paying one pool spawn per call.
 
 Every engine implements one counting method, ``count(db, episodes,
 alphabet_size, policy, window, index=None)``, which takes a
@@ -127,7 +128,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeAlias
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep import cycles cut
     from concurrent.futures import Future
@@ -139,8 +140,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep import cycles cut
 import numpy as np
 
 from repro.errors import ConfigError, ValidationError
-from repro.mapreduce.combiner import group_by_key
-from repro.mapreduce.types import KeyValue, MapReduceJob
+from repro.mapreduce.types import KeyValue
 from repro.obs import clock as _clock
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder
 from repro.resilience import faults as _faults
@@ -212,6 +212,11 @@ class CountingEngine:
     #: uninstrumented runs record nothing and pay nothing.  Recorders
     #: are parent-side only — they never cross into worker processes.
     recorder: "Recorder | NullRecorder" = NULL_RECORDER
+
+    #: supervision :class:`~repro.resilience.supervisor.DegradationEvent`
+    #: records of the current (or most recent) run scope; always empty
+    #: for engines without supervised pooling
+    events: "Sequence[DegradationEvent]" = ()
 
     def set_recorder(self, recorder: "Recorder | NullRecorder") -> None:
         """Attach a run's telemetry recorder.
@@ -382,7 +387,7 @@ class BoundEngine:
         """Supervision :class:`~repro.resilience.supervisor.
         DegradationEvent` records from the underlying engine's current
         run scope (empty for engines without supervised pooling)."""
-        return tuple(getattr(self.engine, "events", ()))
+        return tuple(self.engine.events)
 
 
 class ScalarOracleEngine(CountingEngine):
@@ -629,7 +634,7 @@ class GpuSimEngine(CountingEngine):
 
 
 # ---------------------------------------------------------------------------
-# Sharded execution over the MapReduce framework
+# Sharded execution on a supervised process pool
 # ---------------------------------------------------------------------------
 
 #: per-process DatabaseIndex cache keyed by database content fingerprint.
@@ -716,47 +721,34 @@ def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
     return [KeyValue(record.key, out)]
 
 
-def _sum_reducer(key: object, values: "list[np.ndarray]") -> np.ndarray:
-    return np.sum(values, axis=0)
-
-
-def _first_reducer(key: object, values: list) -> object:
-    """Pass-through for jobs keyed one record per shard (summaries)."""
-    return values[0]
-
-
 class _ShardJobHost:
-    """:class:`~repro.resilience.supervisor.PoolHost` for one job run.
+    """:class:`~repro.resilience.supervisor.PoolHost` for one dispatch.
 
     The supervisor owns the tracked-future mechanics; this host owns
-    recovery *policy* on behalf of its :class:`ShardedEngine`:
+    recovery *policy* on behalf of its :class:`ShardedEngine`, whose
+    run-scoped pool it drives:
 
     * ``submit`` consults the active fault plan and stamps a drawn
       fault into a *copy* of the shard payload — the clean record stays
       parent-side, so ``inline`` recounts are exact by construction;
-    * ``respawn`` is budgeted (per-job attempts against
-      ``max_pool_respawns``, and for the run-scoped pool also against
-      the scope's total spawn budget) and slept through the engine's
-      seeded backoff; an exhausted budget pins the scope to the
-      single-process chain (``_pool_failed``) — the supervisor records
-      the ``"degraded"`` event;
+    * ``respawn`` is budgeted (per-dispatch attempts against
+      ``max_pool_respawns``, and the scope's total spawn budget) and
+      slept through the engine's seeded backoff; an exhausted budget
+      pins the scope to the single-process chain (``_pool_failed``) —
+      the supervisor records the ``"degraded"`` event;
     * ``abandon`` drops a poisoned pool without waiting on hung
-      workers; a scope pool is detached so the next sharding call can
-      lazily respawn while budget remains.
+      workers and detaches it from the scope, so the next sharding call
+      can lazily respawn while budget remains.
     """
 
     def __init__(
         self,
         engine: "ShardedEngine",
-        mapper: "Callable[[KeyValue], list]",
         pool: "ProcessPoolEngine",
-        owned: bool,
         turnaround: "list[float] | None" = None,
     ) -> None:
         self.engine = engine
-        self.mapper = mapper
         self.pool = pool
-        self.owned = owned
         #: telemetry sink for per-shard submit->done latency (queue +
         #: exec, observed parent-side: workers are never instrumented).
         #: None when recording is off — the hot submit path then takes
@@ -780,7 +772,7 @@ class _ShardJobHost:
         return KeyValue(record.key, payload)
 
     def submit(self, record: KeyValue) -> "Future":
-        fut = self.pool.submit(self.mapper, self._stamped(record))
+        fut = self.pool.submit(_sharded_mapper, self._stamped(record))
         sink = self.turnaround
         if sink is not None:
             t0 = _clock.now()
@@ -790,71 +782,70 @@ class _ShardJobHost:
         return fut
 
     def inline(self, record: KeyValue) -> list:
-        return list(self.mapper(record))
+        return _sharded_mapper(record)
 
     def respawn(self, attempt: int) -> bool:
         engine = self.engine
-        self.pool.abandon()
-        if not self.owned:
-            engine._pool = None
-        if attempt <= engine.max_pool_respawns and (
-            self.owned or engine._scope_spawn_budget > 0
-        ):
+        self.abandon()
+        if attempt <= engine.max_pool_respawns and engine._scope_spawn_budget > 0:
             engine.backoff.sleep(attempt - 1)
             pool = engine._make_pool()
             if pool is not None:
-                if not self.owned:
-                    engine._pool = pool
-                    engine._scope_spawn_budget -= 1
-                self.pool = pool
+                engine._pool = self.pool = pool
+                engine._scope_spawn_budget -= 1
                 return True
-        if not self.owned:
-            # budget spent (or the respawn itself failed): the rest of
-            # the scope counts on the single-process chain; the
-            # supervisor records the "degraded" event
-            engine._pool_failed = True
+        # budget spent (or the respawn itself failed): the rest of the
+        # scope counts on the single-process chain; the supervisor
+        # records the "degraded" event
+        engine._pool_failed = True
         return False
 
     def abandon(self) -> None:
         self.pool.abandon()
-        if not self.owned:
-            self.engine._pool = None
+        self.engine._pool = None
+
+
+#: one sharding call: the shard payloads, and the step that combines
+#: their mapped values (in shard order) into the call's counts
+_Shards: TypeAlias = "tuple[list[dict], Callable[[list], np.ndarray]]"
 
 
 class ShardedEngine(CountingEngine):
-    """Split one counting call across workers via MapReduce.
+    """Split one counting call across worker processes.
 
     RESET shards the *database* axis: per-segment counts plus the
-    boundary span fix of :mod:`repro.mining.spanning` reassemble the
-    exact whole-database answer.  SUBSEQUENCE/EXPIRING shard the
-    *episode* axis when the batch offers enough chunks, and the
-    *database* axis otherwise (few episodes, long database) via the
-    two-pass state carry: workers return per-segment FSM summaries
-    (pass 1), the parent composes entry states sequentially — exact for
-    occurrences straddling any number of segments (paper §3.3.3 made
-    parallel).
+    boundary span fix of :mod:`repro.mining.spanning` sum to the exact
+    whole-database answer.  SUBSEQUENCE/EXPIRING shard the *episode*
+    axis when the batch offers enough chunks, and the *database* axis
+    otherwise (few episodes, long database) via the two-pass state
+    carry: workers return per-segment FSM summaries (pass 1), the
+    parent composes entry states sequentially — exact for occurrences
+    straddling any number of segments (paper §3.3.3 made parallel).
+    Each axis is a plain list of shard payloads plus a combine step;
+    all three run through one supervised dispatch.
 
     ``with engine:`` scopes one mining run: the first ``count`` that
     actually shards acquires the process pool (spawned *and probed*, so
-    unavailable platforms are detected right there and the rest of the
-    scope runs inline on the inner engine) and every later call of the
-    scope shares it; runs whose calls all stay below ``min_shard_work``
-    never spawn workers at all.  Outside a scope each sharding call
-    builds and tears down its own pool — correct, but paying the spawn
-    cost the ``sharded_scaling`` benchmark series quantifies.
+    unavailable platforms are detected right there) and every later
+    call of the scope shares it; runs whose calls all stay below
+    ``min_shard_work`` never spawn workers at all.  A ``count`` made
+    outside a scope opens its own one-call scope — correct and
+    supervised, but paying the spawn cost the ``sharded_scaling``
+    benchmark series quantifies.
 
     Pooled shards run *supervised* (see the module's "Failure
     semantics"): every shard is a tracked future with an optional
-    ``shard_deadline_s`` deadline; a pool broken mid-job (a killed
+    ``shard_deadline_s`` deadline; a pool broken mid-dispatch (a killed
     worker) is respawned up to ``max_pool_respawns`` times with seeded
     exponential ``backoff`` and only unfinished shards re-dispatched;
     hung shards are reclaimed and recounted in-process; once the spawn
     budget for the scope is spent, the run degrades to the
     single-process inner engine, recording a structured
     :class:`~repro.resilience.supervisor.DegradationEvent` on
-    ``events`` (cleared when a new run scope opens).  Mapper exceptions
-    always propagate — they are never confused with infrastructure
-    failure.
+    ``events`` (cleared when a new run scope opens).  Whenever no pool
+    is available every axis counts inline on the inner engine: without
+    workers the decomposition only adds work.  Mapper exceptions always
+    propagate — they are never confused with infrastructure failure.
 
     Small problems (``db chars x episodes < min_shard_work``) run
     inline on the inner engine.  ``workers`` defaults to
@@ -988,7 +979,7 @@ class ShardedEngine(CountingEngine):
             pool.__enter__()
         except (OSError, RuntimeError) as exc:
             # the probe raised: this platform cannot spawn worker
-            # processes (sandbox); stay exact on the serial path
+            # processes (sandbox); the scope counts on the inner engine
             self._record(
                 "pool-spawn-failed",
                 f"pool spawn failed: {type(exc).__name__}: {exc}",
@@ -1006,7 +997,8 @@ class ShardedEngine(CountingEngine):
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        """Sharded counts, inline on the inner engine when too small.
+        """Sharded counts, inline on the inner engine when too small or
+        when no pool is available.
 
         The episode axis shards by trie *subtree*: each shard receives
         whole root-child subtrees
@@ -1022,46 +1014,28 @@ class ShardedEngine(CountingEngine):
         db = np.asarray(db)
         n, n_eps = int(db.size), matrix.shape[0]
         # n == 0 must stay inline even at min_shard_work=0: every
-        # segment would be zero-width and skipped, leaving no shards.
-        # A scope whose pool could not spawn also stays inline: the
-        # decomposition costs strictly more than inner.count without
-        # workers to spread it over (the carry's pass 1 resumes every
-        # entry state, ~L resumes per episode).
+        # segment would be zero-width and skipped, leaving no shards
         if (self.workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
             return self.inner.count(db, episodes, alphabet_size, policy,
                                     window, index=index)
-        if policy is MatchPolicy.RESET:
-            job = self._database_axis_job(db, matrix, alphabet_size, policy)
-            return self._run(job)["total"]
-        if self._pick_axis(n_eps) == "database":
-            return self._count_database_axis_carry(
-                db, matrix, alphabet_size, policy, window, index=index
-            )
-        trie = as_candidate_trie(episodes)
-        groups = trie.subtree_index_groups(self.workers)
-        if len(groups) <= 1:
-            return self.inner.count(db, trie, alphabet_size, policy, window,
-                                    index=index)
-        # workers cache their index under this key; a caller-supplied
-        # index for this very database already carries the hash
-        if index is not None and index.db is db:
-            db_key = index.fingerprint
-        else:
-            db_key = db_fingerprint(db)
-        inputs = [
-            KeyValue(("chunk", i),
-                     self._payload(db, matrix[rows], alphabet_size, policy,
-                                   window, db_key=db_key))
-            for i, rows in enumerate(groups)
-        ]
-        job = MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                           reducer=_sum_reducer)
-        results = self._run(job)
-        out = np.zeros(n_eps, dtype=np.int64)
-        for i, rows in enumerate(groups):
-            out[rows] = results[("chunk", i)]
-        return out
+        with self:  # an unscoped call is its own one-call run scope
+            if policy is MatchPolicy.RESET:
+                payloads, combine = self._reset_shards(db, matrix,
+                                                       alphabet_size)
+            elif self._pick_axis(n_eps) == "database":
+                payloads, combine = self._carry_shards(db, matrix, policy,
+                                                       window)
+            else:
+                episodes = as_candidate_trie(episodes)
+                payloads, combine = self._episode_shards(
+                    db, episodes, matrix, alphabet_size, policy, window, index
+                )
+            pool = self._acquire_run_pool() if len(payloads) > 1 else None
+            if pool is None:
+                return self.inner.count(db, episodes, alphabet_size, policy,
+                                        window, index=index)
+            return combine(self._run_supervised(payloads, pool))
 
     def _pick_axis(self, n_eps: int) -> str:
         """SUBSEQUENCE/EXPIRING axis choice.
@@ -1096,178 +1070,157 @@ class ShardedEngine(CountingEngine):
             payload["db_key"] = db_key
         return payload
 
-    def _database_axis_job(
-        self,
-        db: np.ndarray,
-        matrix: np.ndarray,
-        alphabet_size: int,
-        policy: MatchPolicy,
-    ) -> MapReduceJob:
-        length = matrix.shape[1]
+    def _reset_shards(
+        self, db: np.ndarray, matrix: np.ndarray, alphabet_size: int
+    ) -> _Shards:
+        """RESET database axis: segment counts plus the boundary span
+        fix (Fig. 5), summed."""
         bounds = segment_bounds(db.size, self.workers)
-        inputs = [
-            KeyValue("total", self._payload(db[lo:hi], matrix, alphabet_size,
-                                            policy, None))
+        payloads = [
+            self._payload(db[lo:hi], matrix, alphabet_size,
+                          MatchPolicy.RESET, None)
             for lo, hi in bounds
             if hi > lo  # degenerate splits: skip zero-width segments
         ]
         for _, start_lo, hi, start_hi in iter_boundary_windows(
-            bounds, int(db.size), length
+            bounds, int(db.size), matrix.shape[1]
         ):
             payload = self._payload(db[start_lo:hi], matrix, alphabet_size,
-                                    policy, None)
+                                    MatchPolicy.RESET, None)
             payload.update(kind="boundary", start_lo=0, start_hi=start_hi)
-            inputs.append(KeyValue("total", payload))
-        return MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                            reducer=_sum_reducer)
+            payloads.append(payload)
+        return payloads, lambda counts: np.sum(counts, axis=0)
 
-    def _count_database_axis_carry(
+    def _episode_shards(
         self,
         db: np.ndarray,
+        trie: CandidateTrie,
         matrix: np.ndarray,
         alphabet_size: int,
         policy: MatchPolicy,
         window: "int | None",
-        index: "DatabaseIndex | None" = None,
-    ) -> np.ndarray:
+        index: "DatabaseIndex | None",
+    ) -> _Shards:
+        """Episode axis: whole root subtrees per shard, scattered back
+        by their episode-index groups."""
+        groups = trie.subtree_index_groups(self.workers)
+        # workers cache their index under this key; a caller-supplied
+        # index for this very database already carries the hash
+        if index is not None and index.db is db:
+            db_key = index.fingerprint
+        else:
+            db_key = db_fingerprint(db)
+        payloads = [
+            self._payload(db, matrix[rows], alphabet_size, policy, window,
+                          db_key=db_key)
+            for rows in groups
+        ]
+
+        def scatter(counts: list) -> np.ndarray:
+            out = np.zeros(matrix.shape[0], dtype=np.int64)
+            for rows, shard_counts in zip(groups, counts):
+                out[rows] = shard_counts
+            return out
+
+        return payloads, scatter
+
+    def _carry_shards(
+        self,
+        db: np.ndarray,
+        matrix: np.ndarray,
+        policy: MatchPolicy,
+        window: "int | None",
+    ) -> _Shards:
         """Two-pass state-summarization split along the database axis.
 
         Pass 1 (workers): one ``summary`` shard per nonempty segment,
         each a trie-shared position-hop summary
         (:func:`~repro.mining.spanning.hop_subsequence_summary` /
         :func:`~repro.mining.spanning.hop_expiring_summary`).
-        Pass 2 (here): sequential compose of entry states — table
-        lookups for SUBSEQUENCE, bounded lockstep fix-up for EXPIRING.
-        The pool is acquired *before* committing to the decomposition:
-        pass 1 resumes every SUBSEQUENCE entry state (~L resumes per
-        episode, against one count inline), pure overhead without
-        workers to spread it over, so a pool-less platform counts
-        inline on the inner engine instead.  A pool failing mid-job is
-        the supervisor's problem: completed summary shards are kept and
-        unfinished ones recomputed (re-dispatched or in-process), so
-        the compose below always sees a full summary set.
+        Pass 2 (the combine): sequential compose of entry states over
+        the ordered summaries — table lookups for SUBSEQUENCE, bounded
+        lockstep fix-up for EXPIRING.  The supervisor always returns a
+        full summary set, whichever failure path recomputed a shard.
         """
         bounds = [
             (lo, hi)
             for lo, hi in segment_bounds(db.size, self.workers)
             if hi > lo
         ]
-        if len(bounds) <= 1:
-            return self.inner.count(db, matrix, alphabet_size, policy,
-                                    window, index=index)
-        pool, owned = self._acquire_run_pool()
-        if pool is None:
-            return self.inner.count(db, matrix, alphabet_size, policy,
-                                    window, index=index)
-        inputs = [
-            KeyValue(
-                i,
-                {
-                    "kind": "summary",
-                    "db": db[lo:hi],
-                    "matrix": matrix,
-                    "policy": policy.value,
-                    "window": window,
-                    "t0": lo,
-                },
-            )
-            for i, (lo, hi) in enumerate(bounds)
+        payloads = [
+            {
+                "kind": "summary",
+                "db": db[lo:hi],
+                "matrix": matrix,
+                "policy": policy.value,
+                "window": window,
+                "t0": lo,
+            }
+            for lo, hi in bounds
         ]
-        job = MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                           reducer=_first_reducer)
-        results = self._run_supervised(job, pool, owned)
-        summaries = [results[i] for i in range(len(bounds))]
-        if policy is MatchPolicy.SUBSEQUENCE:
-            seg_counts, _ = compose_subsequence(summaries, matrix.shape[0])
-        else:
-            seg_counts = compose_expiring(
-                db, matrix, int(window), bounds, summaries
-            )
-        return seg_counts.sum(axis=0)
 
-    def _acquire_run_pool(self) -> "tuple[ProcessPoolEngine | None, bool]":
-        """``(pool, owned)``: the scope's pool (lazily spawned on the
-        first sharding call, and lazily *re*-spawned while the scope's
-        spawn budget lasts), or a caller-owned per-call pool outside a
-        scope, or ``(None, ...)`` once the scope has degraded."""
-        if self._depth > 0:
-            if self._pool is None and not self._pool_failed:
-                if self._scope_spawn_budget > 0:
-                    self._pool = self._make_pool()
-                    if self._pool is not None:
-                        self._scope_spawn_budget -= 1
-                if self._pool is None:
-                    self._mark_degraded()
-            return self._pool, False
-        pool = self._make_pool()
-        if pool is None:
-            self._record(
-                "degraded",
-                "no process pool; counting falls back to the "
-                f"single-process {self.inner.name!r} engine",
-            )
-        return pool, True
+        def compose(summaries: list) -> np.ndarray:
+            if policy is MatchPolicy.SUBSEQUENCE:
+                seg_counts, _ = compose_subsequence(summaries, matrix.shape[0])
+            else:
+                seg_counts = compose_expiring(
+                    db, matrix, int(window), bounds, summaries
+                )
+            return seg_counts.sum(axis=0)
 
-    def _mark_degraded(self) -> None:
-        """Pin the rest of the scope to the single-process chain."""
-        if not self._pool_failed:
-            self._pool_failed = True
-            self._record(
-                "degraded",
-                "pool unavailable for the rest of this run scope; "
-                "degrading to the single-process "
-                f"{self.inner.name!r} engine",
-            )
+        return payloads, compose
 
-    def _run(self, job: MapReduceJob) -> dict:
-        from repro.mapreduce.cpu_engine import SerialEngine
-
-        pool, owned = self._acquire_run_pool()
-        if pool is None:
-            # serial decomposition: same per-shard work as the pool
-            # would do (segment/boundary/chunk shards, unlike the carry
-            # above), so exactness is free and overhead negligible
-            return SerialEngine().run(job)
-        return self._run_supervised(job, pool, owned)
+    def _acquire_run_pool(self) -> "ProcessPoolEngine | None":
+        """The scope's pool: lazily spawned by the first sharding call,
+        and lazily *re*-spawned while the scope's spawn budget lasts.
+        None pins the rest of the scope to the single-process chain."""
+        if self._pool is None:
+            if self._scope_spawn_budget > 0:
+                self._pool = self._make_pool()
+            if self._pool is None:
+                self._pool_failed = True
+                self._record(
+                    "degraded",
+                    "pool unavailable for the rest of this run scope; "
+                    "degrading to the single-process "
+                    f"{self.inner.name!r} engine",
+                )
+                return None
+            self._scope_spawn_budget -= 1
+        return self._pool
 
     def _run_supervised(
-        self, job: MapReduceJob, pool: "ProcessPoolEngine", owned: bool
-    ) -> dict:
-        """Run ``job``'s shards under supervision and reduce.
+        self, payloads: "list[dict]", pool: "ProcessPoolEngine"
+    ) -> list:
+        """Map ``payloads`` under supervision; values in shard order.
 
         The host below owns recovery policy (fault stamping at submit,
         budgeted respawns with backoff, degrading the scope); the
-        supervisor owns the tracked-future mechanics.  The reduce side
-        is the framework's own pipeline (intermediate -> group -> reduce)
-        applied to the supervised map output, so results are identical
-        to an unsupervised ``pool.run(job)`` on the happy path.
+        supervisor owns the tracked-future mechanics and returns the
+        mapped records in input order whichever failure path it took.
 
         Telemetry: dispatch runs under a ``shard-dispatch`` span.  Shard
         timing is the submit->done turnaround observed from the parent
         (queue + exec together; workers are never instrumented), fed
         through a plain-list sink the host's completion callbacks append
         to and folded here, on the owning thread.  DegradationEvents
-        raised during the job are counted per kind and mirrored onto the
-        span.
+        raised during the dispatch are counted per kind and mirrored
+        onto the span.
         """
         rec = self.recorder
         turnaround: "list[float] | None" = [] if rec.enabled else None
         events_before = len(self.events)
-        host = _ShardJobHost(self, job.mapper, pool, owned,
-                             turnaround=turnaround)
-        with rec.span("shard-dispatch", shards=len(job.inputs)) as sp:
-            try:
-                mapped = ShardSupervisor(
-                    host,
-                    deadline_s=self.shard_deadline_s,
-                    events=self.events,
-                ).map(list(job.inputs))
-            finally:
-                if owned:
-                    host.pool.__exit__(None, None, None)
+        host = _ShardJobHost(self, pool, turnaround=turnaround)
+        records = [KeyValue(i, payload) for i, payload in enumerate(payloads)]
+        with rec.span("shard-dispatch", shards=len(records)) as sp:
+            mapped = ShardSupervisor(
+                host,
+                deadline_s=self.shard_deadline_s,
+                events=self.events,
+            ).map(records)
         if rec.enabled:
             rec.count("sharded.jobs")
-            rec.count("sharded.shards", len(job.inputs))
+            rec.count("sharded.shards", len(records))
             new_events = self.events[events_before:]
             for ev in new_events:
                 rec.count(f"sharded.events.{ev.kind}")
@@ -1279,11 +1232,7 @@ class ShardedEngine(CountingEngine):
                 )
             if new_events:
                 sp.attrs["degradation_events"] = [ev.kind for ev in new_events]
-        if job.intermediate is not None:
-            mapped = list(job.intermediate(mapped))
-        grouped = group_by_key(mapped)
-        return {key: job.reducer(key, values)
-                for key, values in grouped.items()}
+        return [kv.value for kv in mapped]
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,7 @@ class PipelinedMiner:
                     levels.append(result)
                     last_frequent = frequent
                     level += 1
-                degradation_events = tuple(
-                    getattr(self._engine, "events", ())
-                )
+                degradation_events = tuple(self._engine.events)
 
         return PipelineReport(
             result=MiningResult(threshold=self.threshold, levels=tuple(levels)),

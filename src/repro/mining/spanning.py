@@ -199,8 +199,8 @@ def iter_boundary_windows(
     episodes never span, and degenerate splits (zero-width segments)
     produce windows no occurrence can start in.  The single place this
     skip condition lives: both :func:`count_segmented` and the sharded
-    engine's database-axis job iterate through here, so the two can
-    never drift on which shards are dispatched.
+    engine's RESET database-axis shards iterate through here, so the
+    two can never drift on which shards are dispatched.
     """
     if length <= 1:
         return

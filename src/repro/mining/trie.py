@@ -52,6 +52,7 @@ from repro.mining.counting import (
     DatabaseIndex,
     as_episode_matrix,
     db_fingerprint,
+    _JumpChain,
     _hop_positions,
     _resume_subsequence_hopping,
 )
@@ -472,7 +473,8 @@ def _trie_subsequence_resume(
 
     Row ``r`` of the returned ``(counts, exits)`` (both ``(k, E)``) is
     the segment entered in states ``entries[r]``.  Each terminal's chain
-    is reached once and serves all ``k`` rows:
+    is reached once and serves all ``k`` rows, its jump tables built at
+    most once (:class:`repro.mining.counting._JumpChain`):
     :func:`resume_positions_trie` passes ``k = 1`` (the carried state),
     :func:`repro.mining.spanning.hop_subsequence_summary` ``k = L``
     (every entry state).  Subtrees with an empty frontier are still
@@ -489,11 +491,12 @@ def _trie_subsequence_resume(
         stack.append((child, pos, pos))
     while stack:
         node, ends, starts = stack.pop()
+        chain = _JumpChain(ends, starts)
         for term in trie.terminals_of(node):
             items = tuple(int(x) for x in matrix[term])
             for r in range(entries.shape[0]):
                 counts[r, term], exits[r, term] = _resume_subsequence_hopping(
-                    index, items, int(entries[r, term]), (ends, starts)
+                    index, items, int(entries[r, term]), chain
                 )
         for symbol, child in reversed(trie.children_of(node)):
             child_ends, child_starts = _hop_positions(

@@ -311,9 +311,7 @@ class StreamingMiner:
             degradation_events=tuple(self._sup_events),
             cache=self._count_cache.stats(),
             meta={
-                "engine": getattr(
-                    self._engine, "name", type(self._engine).__name__
-                ),
+                "engine": self._engine.name,
                 "mode": self.mode,
                 "horizon": self.horizon,
                 "retention": self.retention,
@@ -335,20 +333,18 @@ class StreamingMiner:
         """
         chunk = self._validate_chunk(chunk)
         rec = resolve_recorder(self.recorder)
-        instrumented = hasattr(self._engine, "set_recorder")
-        if instrumented:
-            self._engine.set_recorder(rec)
+        self._engine.set_recorder(rec)
         try:
             with rec.span(
                 "chunk", index=self._chunk_index, events=int(chunk.size)
             ) as sp:
                 with self._engine:
-                    seen = len(getattr(self._engine, "events", ()))
+                    seen = len(self._engine.events)
                     if self.mode == "landmark":
                         promoted, demoted = self._update_landmark(chunk)
                     else:
                         promoted, demoted = self._update_windowed(chunk)
-                    events = tuple(getattr(self._engine, "events", ()))[seen:]
+                    events = tuple(self._engine.events[seen:])
                 if rec.enabled:
                     rec.count("stream.chunks")
                     rec.count("stream.events_ingested", int(chunk.size))
@@ -362,8 +358,7 @@ class StreamingMiner:
                         n_tracked=self._store.n_tracked,
                     )
         finally:
-            if instrumented:
-                self._engine.set_recorder(NULL_RECORDER)
+            self._engine.set_recorder(NULL_RECORDER)
         self._sup_events.extend(events)
         self._chunk_index += 1
         return StreamUpdate(

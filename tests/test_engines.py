@@ -529,7 +529,8 @@ class TestShardedRunScope:
         assert engine.pools_spawned == 2
 
     def test_unscoped_counts_stay_correct(self, workload):
-        """Outside a scope every call pools (or serial-falls-back) alone."""
+        """Outside a scope every call is its own one-call scope: it
+        pools alone (or counts inline on the inner engine without one)."""
         alpha, db = workload
         eps = generate_level(alpha, 2)
         engine = ShardedEngine(workers=2, min_shard_work=0)
@@ -537,6 +538,67 @@ class TestShardedRunScope:
         ref = count_batch_reference(db, eps, 5, MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(got, ref)
         assert not engine.pool_active
+
+    @pytest.mark.parametrize("policy", (MatchPolicy.RESET,
+                                        MatchPolicy.SUBSEQUENCE))
+    def test_no_pool_counts_inline_without_mapping(self, monkeypatch,
+                                                   policy):
+        """Without a pool every axis counts inline on the inner engine:
+        no shard is mapped in-process (RESET would be 5 shards here, the
+        SUBSEQUENCE episode axis 3)."""
+        import repro.mining.engines as engines
+        from repro.resilience import faults
+        from repro.resilience.faults import FaultPlan
+
+        mapped = []
+        real = engines._sharded_mapper
+
+        def counted(record):
+            mapped.append(record.key)
+            return real(record)
+
+        monkeypatch.setattr(engines, "_sharded_mapper", counted)
+        db = np.random.default_rng(53).integers(0, 6, 1200).astype(np.uint8)
+        matrix = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
+                          dtype=np.uint8)
+        engine = ShardedEngine(inner="scalar-oracle", workers=3,
+                               min_shard_work=0)
+        with faults.inject(FaultPlan(pool_spawn_failures=1)):
+            with engine:
+                got = engine.count(db, matrix, 6, policy)
+        assert mapped == []
+        assert [e.kind for e in engine.events] == [
+            "pool-spawn-failed", "degraded",
+        ]
+        assert np.array_equal(
+            got, count_matrix_reference(db, matrix, policy, None)
+        )
+
+    def test_unscoped_calls_are_one_call_scopes(self):
+        """Each unscoped call opens, and closes, its own run scope: the
+        pool is released and ``events`` holds only that call's story."""
+        if not _pools_available():
+            pytest.skip("platform cannot spawn process pools")
+        from repro.resilience import faults
+        from repro.resilience.faults import FaultPlan, ShardFault
+        from repro.resilience.supervisor import BackoffPolicy
+
+        db = np.random.default_rng(59).integers(0, 6, 1200).astype(np.uint8)
+        matrix = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
+                          dtype=np.uint8)
+        ref = count_matrix_reference(db, matrix, MatchPolicy.SUBSEQUENCE,
+                                     None)
+        engine = ShardedEngine(inner="scalar-oracle", workers=3,
+                               min_shard_work=0,
+                               backoff=BackoffPolicy(base_s=0.0))
+        for _ in range(2):
+            with faults.inject(
+                FaultPlan(shard_faults={1: ShardFault("crash")})
+            ):
+                got = engine.count(db, matrix, 6, MatchPolicy.SUBSEQUENCE)
+            assert np.array_equal(got, ref)
+            assert not engine.pool_active
+        assert [e.kind for e in engine.events] == ["pool-respawn"]
 
     def test_inline_only_run_spawns_no_pool(self, workload):
         """A scope whose every call stays below min_shard_work must not
@@ -980,7 +1042,7 @@ class TestShardedMapperInProcess:
         """The database-axis carry's ``summary`` payloads, mapped in
         this process and composed, equal the oracle (rows deliberately
         out of trie order, one duplicated)."""
-        from repro.mapreduce.combiner import group_by_key
+        from repro.mapreduce.types import KeyValue
         from repro.mining.engines import _sharded_mapper
 
         # fewer episodes than workers: the database axis
@@ -988,14 +1050,13 @@ class TestShardedMapperInProcess:
                                min_shard_work=0)
         shipped = []
 
-        def in_process(job, pool, owned):
-            shipped.extend(kv.value for kv in job.inputs)
-            mapped = [out for kv in job.inputs for out in job.mapper(kv)]
-            return {key: job.reducer(key, values)
-                    for key, values in group_by_key(mapped).items()}
+        def in_process(payloads, pool):
+            shipped.extend(payloads)
+            return [out.value
+                    for i, payload in enumerate(payloads)
+                    for out in _sharded_mapper(KeyValue(i, payload))]
 
-        monkeypatch.setattr(engine, "_acquire_run_pool",
-                            lambda: (object(), False))
+        monkeypatch.setattr(engine, "_acquire_run_pool", lambda: object())
         monkeypatch.setattr(engine, "_run_supervised", in_process)
         db = np.random.default_rng(23).integers(0, 4, 400).astype(np.uint8)
         matrix = np.array([[3, 2, 1], [0, 1, 2], [3, 2, 1]], dtype=np.uint8)

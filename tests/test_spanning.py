@@ -411,6 +411,31 @@ class TestPositionHopParity:
         np.testing.assert_array_equal(hop.counts, ref_counts)
         np.testing.assert_array_equal(hop.exits, ref_exits)
 
+    @pytest.mark.parametrize("length", (3, 4))
+    def test_subsequence_summary_builds_one_table_per_terminal(
+        self, monkeypatch, length
+    ):
+        """The L entry-state resumes of a terminal share one set of
+        jump tables: E terminals build at most E, however large L."""
+        import repro.mining.counting as counting
+
+        built = []
+        real = counting._jump_tables
+
+        def counted(ends, starts):
+            built.append(int(ends.size))
+            return real(ends, starts)
+
+        monkeypatch.setattr(counting, "_jump_tables", counted)
+        db = np.random.default_rng(61).integers(0, 5, 500).astype(np.uint8)
+        episodes = generate_level(Alphabet.of_size(5), length)
+        matrix = np.array([ep.items for ep in episodes], dtype=np.uint8)
+        hop = hop_subsequence_summary(db, matrix)
+        assert 0 < len(built) <= len(episodes)
+        ref_counts, ref_exits = _sweep_subsequence_table(db, matrix)
+        np.testing.assert_array_equal(hop.counts, ref_counts)
+        np.testing.assert_array_equal(hop.exits, ref_exits)
+
     def test_expiring_summary_slot_i_is_row_i(self):
         db = np.random.default_rng(59).integers(0, 4, 300).astype(np.uint8)
         ref_counts, ref_times = _sweep_expiring_summary(
